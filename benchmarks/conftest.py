@@ -2,7 +2,10 @@
 
 The full 1,197-app study is computed once per session; individual
 benchmarks measure their own pipeline stage and assert the reproduced
-numbers against the paper's.
+numbers against the paper's.  ``study`` is the aggregate (the tables);
+``reports`` and ``plans`` (package -> report / ground-truth plan) are
+there for the per-app questions the tables do not answer, such as
+which apps a detector flagged.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checker import PPChecker
-from repro.core.study import run_study
-from repro.corpus.appstore import generate_app_store
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec, generate_app_store
 
 
 @pytest.fixture(scope="session")
@@ -25,5 +28,23 @@ def checker(store):
 
 
 @pytest.fixture(scope="session")
-def study(store, checker):
-    return run_study(store, checker=checker)
+def study_run(checker):
+    collector = ReportCollector()
+    aggregate = run_study_streaming(CorpusSpec(), checker=checker,
+                                    sinks=[collector])
+    return aggregate, collector.reports
+
+
+@pytest.fixture(scope="session")
+def study(study_run):
+    return study_run[0]
+
+
+@pytest.fixture(scope="session")
+def reports(study_run):
+    return study_run[1]
+
+
+@pytest.fixture(scope="session")
+def plans(store):
+    return {app.package: app.plan for app in store.apps}

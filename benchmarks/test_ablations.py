@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.checker import PPChecker
 from repro.core.matching import InfoMatcher
-from repro.core.study import run_study
 from repro.corpus.plans import DISCLAIMER_APPS
 from repro.corpus.sentences import generate_labeled_sentences
 from repro.policy.bootstrap import Bootstrapper

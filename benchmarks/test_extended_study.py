@@ -11,20 +11,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core.extended import make_extended_checker
-from repro.core.study import run_study
+from repro.core.study import run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 
 
 def test_extended_vs_base_table4(benchmark, store, study):
-    extended_checker = make_extended_checker(store.lib_policy)
+    spec = CorpusSpec()
+    extended_checker = make_extended_checker(spec.lib_policy)
 
     def run_extended_slice():
-        return run_study(store, checker=make_extended_checker(
-            store.lib_policy
+        return run_study_streaming(spec, checker=make_extended_checker(
+            spec.lib_policy
         ), limit=80)
 
     benchmark(run_extended_slice)
 
-    extended = run_study(store, checker=extended_checker)
+    extended = run_study_streaming(spec, checker=extended_checker)
     base_rows = study.table4()
     ext_rows = extended.table4()
 

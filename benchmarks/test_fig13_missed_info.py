@@ -13,7 +13,7 @@ from repro.core.incomplete import detect_incomplete_via_code
 from repro.core.matching import InfoMatcher
 
 
-def test_fig13(benchmark, store, checker, study):
+def test_fig13(benchmark, store, checker, study, reports):
     matcher = InfoMatcher()
     sample = store.apps[64:128]  # code-incomplete group slice
 
@@ -30,6 +30,8 @@ def test_fig13(benchmark, store, checker, study):
 
     tp, fp = study.incomplete_code_confusion()
     dist, retained = study.fig13()
+    flagged = [pkg for pkg, report in reports.items()
+               if report.incomplete_via("code")]
 
     print("\nFig. 13 -- missed information distribution (true positives)")
     print(f"{'information':<18} {'records':>8}")
@@ -37,11 +39,11 @@ def test_fig13(benchmark, store, checker, study):
         print(f"{info.value:<18} {count:>8}")
     print(f"{'total':<18} {sum(dist.values()):>8}   (paper: 234)")
     print(f"{'retained':<18} {retained:>8}   (paper: 32)")
-    print(f"flagged {len(study.incomplete_code_apps())} apps "
+    print(f"flagged {len(flagged)} apps "
           f"(paper 195), verified {tp} (paper 180), "
           f"false positives {fp} (paper 15)")
 
-    assert len(study.incomplete_code_apps()) == 195
+    assert len(flagged) == 195
     assert (tp, fp) == (180, 15)
     assert sum(dist.values()) == 234
     assert retained == 32

@@ -23,16 +23,16 @@ import pytest
 
 from repro.core.checker import PPChecker
 from repro.core.metrics import bootstrap_interval, wilson_interval
-from repro.core.study import run_study, run_study_streaming
-from repro.corpus.appstore import CorpusSpec, generate_app_store
+from repro.core.study import run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 
 
-def test_throughput_scaling(benchmark, store):
-    checker = PPChecker(lib_policy_source=store.lib_policy)
+def test_throughput_scaling(benchmark):
+    spec = CorpusSpec()
 
     def run_100():
-        return run_study(store, checker=PPChecker(
-            lib_policy_source=store.lib_policy
+        return run_study_streaming(spec, checker=PPChecker(
+            lib_policy_source=spec.lib_policy
         ), limit=100)
 
     benchmark(run_100)
@@ -41,9 +41,9 @@ def test_throughput_scaling(benchmark, store):
     print(f"{'apps':>6} {'seconds':>9} {'apps/sec':>9}")
     timings = []
     for size in (100, 300, 600, 1197):
-        local = PPChecker(lib_policy_source=store.lib_policy)
+        local = PPChecker(lib_policy_source=spec.lib_policy)
         start = time.perf_counter()
-        run_study(store, checker=local, limit=size)
+        run_study_streaming(spec, checker=local, limit=size)
         elapsed = time.perf_counter() - start
         timings.append((size, elapsed))
         print(f"{size:>6} {elapsed:>9.2f} {size / elapsed:>9.0f}")

@@ -14,7 +14,8 @@ from repro.core.matching import InfoMatcher
 from repro.corpus.plans import INCORRECT_FP, INCORRECT_TP
 
 
-def test_sec5d_incorrect(benchmark, store, checker, study):
+def test_sec5d_incorrect(benchmark, store, checker, study, reports,
+                        plans):
     matcher = InfoMatcher()
     sample = [store.apps[i] for i in
               list(INCORRECT_TP) + list(INCORRECT_FP)]
@@ -30,9 +31,13 @@ def test_sec5d_incorrect(benchmark, store, checker, study):
 
     benchmark(run_incorrect_detector)
 
-    tp, fp = study.incorrect_confusion()
-    via_desc = len(study.incorrect_apps("description"))
-    via_code = len(study.incorrect_apps("code"))
+    flagged = [pkg for pkg, report in reports.items() if report.incorrect]
+    tp = sum(1 for pkg in flagged if plans[pkg].gt_incorrect)
+    fp = len(flagged) - tp
+    via_desc = sum(1 for report in reports.values()
+                   if report.incorrect_via("description"))
+    via_code = sum(1 for report in reports.values()
+                   if report.incorrect_via("code"))
 
     print("\nSection V-D -- incorrect privacy policies")
     print(f"{'metric':<28} {'paper':>6} {'measured':>9}")

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.study import run_study
-
 PAPER_SUMMARY = {
     "apps": 1197,
     "problem_apps": 282,

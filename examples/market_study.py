@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the paper's 1,197-app market study (Section V).
 
-Generates the synthetic app store, runs PPChecker over every app, and
-prints every table and figure of the evaluation section side by side
-with the paper's published numbers.
+Streams the synthetic app store through PPChecker one app at a time,
+and prints every table and figure of the evaluation section side by
+side with the paper's published numbers.
 
 Run:  python examples/market_study.py [n_apps]
 """
@@ -12,8 +12,8 @@ import sys
 import time
 
 from repro.core.checker import PPChecker
-from repro.core.study import run_study
-from repro.corpus.appstore import generate_app_store
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 
 PAPER = {
     "problem_apps": 282, "incomplete_apps": 222,
@@ -26,13 +26,13 @@ def main() -> None:
     n_apps = int(sys.argv[1]) if len(sys.argv) > 1 else 1197
 
     t0 = time.time()
-    store = generate_app_store(n_apps=n_apps)
-    print(f"generated {len(store)} apps in {time.time() - t0:.1f}s")
-
-    t0 = time.time()
-    checker = PPChecker(lib_policy_source=store.lib_policy)
-    result = run_study(store, checker=checker)
-    print(f"checked {len(store)} apps in {time.time() - t0:.1f}s\n")
+    spec = CorpusSpec(n_apps=n_apps)
+    checker = PPChecker(lib_policy_source=spec.lib_policy)
+    collector = ReportCollector()  # keeps the per-app reports
+    result = run_study_streaming(spec, checker=checker,
+                                 sinks=[collector])
+    print(f"generated and checked {len(spec)} apps in "
+          f"{time.time() - t0:.1f}s\n")
 
     summary = result.summary()
     print("== Section V-F: summary ==")
@@ -63,7 +63,7 @@ def main() -> None:
 
     print("\n== sample findings ==")
     shown = 0
-    for package, report in result.reports.items():
+    for package, report in collector.reports.items():
         if report.has_problem and shown < 3:
             print()
             print(report.summary())

@@ -22,11 +22,11 @@ Quickstart::
 
 Reproducing the paper's study::
 
-    from repro.corpus import generate_app_store
-    from repro.core.study import run_study
+    from repro.corpus.appstore import CorpusSpec
+    from repro.core.study import run_study_streaming
 
-    store = generate_app_store()          # 1,197 synthetic apps
-    result = run_study(store)
+    spec = CorpusSpec()                   # 1,197 synthetic apps, lazy
+    result = run_study_streaming(spec)
     print(result.summary())               # 282 apps, 23.6%, ...
 """
 

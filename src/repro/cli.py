@@ -25,17 +25,17 @@ Subcommands::
             [--max-retries N] [--stage-timeout SECONDS]
             [--keep-going | --no-keep-going]
             [--journal PATH] [--resume]
-            [--limit N] [--streaming] [--out DIR] [--out-shards N]
+            [--limit N] [--out DIR] [--out-shards N] [--html PATH]
             [--shards N] [--window N]
         Run the full market study over the synthetic corpus and print
-        the paper's tables.  --journal / --resume give the study
+        the paper's tables.  Each app is derived lazily and folded
+        into constant-size aggregates (peak RSS bounded by --window,
+        not by --apps).  --journal / --resume give the study
         crash-safe per-app checkpoints: a killed run restarted with
         --resume reproduces the uninterrupted run's report exactly.
-        --streaming derives each app lazily and folds outcomes into
-        constant-size aggregates (peak RSS bounded by --window, not
-        by --apps); with --out DIR every per-app outcome also lands
-        in sharded NDJSON files for later merge-results.  --shards N
-        fans the checks out over N worker processes on the same
+        With --out DIR every per-app outcome also lands in sharded
+        NDJSON files for later merge-results.  --shards N fans the
+        checks out over N worker processes on the same
         consistent-hash plane as serve --shards (tables are
         byte-identical to the in-process run; pair with --cache-dir
         --store sqlite to share one artifact cache).  --limit checks
@@ -43,7 +43,7 @@ Subcommands::
         (unlike --apps, which regenerates a different corpus).
 
     python -m repro.cli merge-results DIR [--json PATH]
-        Reconstitute the study tables from a --streaming --out shard
+        Reconstitute the study tables from a study --out shard
         directory, without re-running any checks (byte-identical to
         the run's own tables).
 
@@ -289,11 +289,10 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
 
 
 def _print_study_tables(result) -> None:
-    """The ``== study ==`` tables; *result* is a
-    :class:`~repro.core.study.StudyResult` or
-    :class:`~repro.core.study.StudyAggregate` (same accessors).
-    Ties sort deterministically so streaming, materialized, and
-    merged runs print byte-identical tables."""
+    """The ``== study ==`` tables of a
+    :class:`~repro.core.study.StudyAggregate`.  Ties sort
+    deterministically so runs on any plane and merged runs print
+    byte-identical tables."""
     print("== study summary ==")
     for key, value in result.summary().items():
         if isinstance(value, float):
@@ -333,8 +332,8 @@ def _write_study_json(result, path: str) -> None:
     print(f"\nwrote {path}")
 
 
-def _print_deviations(result, total: int) -> None:
-    if total < 1197:
+def _print_deviations(result) -> None:
+    if result.n_apps < 1197:
         return
     deviations = result.deviations_from_paper()
     if deviations:
@@ -367,63 +366,8 @@ def _study_meta(args: argparse.Namespace) -> dict:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    if args.out is not None and not args.streaming:
-        print("error: --out requires --streaming", file=sys.stderr)
-        return 2
-    if args.streaming and args.html:
-        print("error: --html needs per-app reports; omit --streaming",
-              file=sys.stderr)
-        return 2
-    if args.streaming:
-        return _cmd_study_streaming(args)
-    runlog, skip = _open_run_log(args, _study_meta(args))
-    if args.shards > 0:
-        from repro.core.study import run_study_sharded
-
-        result = run_study_sharded(
-            seed=args.seed, n_apps=args.apps, shards=args.shards,
-            limit=args.limit, keep_going=args.keep_going,
-            skip=skip or None,
-            on_outcome=runlog.record_outcome if runlog is not None
-            else None,
-            options=_shard_options(args),
-        )
-    else:
-        from repro.core.study import run_study
-        from repro.corpus.appstore import generate_app_store
-
-        store = generate_app_store(seed=args.seed, n_apps=args.apps)
-        checker = _build_checker(args, store.lib_policy)
-        result = run_study(
-            store, checker=checker, limit=args.limit,
-            workers=args.workers,
-            keep_going=args.keep_going,
-            skip=skip or None,
-            on_outcome=runlog.record_outcome if runlog is not None
-            else None,
-        )
-    total = result.n_apps
-
-    _print_study_tables(result)
-    if result.stats is not None:
-        _print_stage_stats(result.stats)
-
-    if args.html:
-        from repro.core.html_report import write_study_html
-        write_study_html(result, args.html)
-        print(f"\nwrote {args.html}")
-    if args.json:
-        _write_study_json(result, args.json)
-
-    _print_deviations(result, total)
-    if runlog is not None:
-        runlog.close()
-    return 0
-
-
-def _cmd_study_streaming(args: argparse.Namespace) -> int:
     from repro.core.results import ResultShardError, ShardedResultWriter
-    from repro.core.study import run_study_streaming
+    from repro.core.study import ReportCollector, run_study_streaming
     from repro.corpus.appstore import CorpusSpec
 
     spec = CorpusSpec(seed=args.seed, n_apps=args.apps)
@@ -442,6 +386,9 @@ def _cmd_study_streaming(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         sinks.append(writer)
+    collector = ReportCollector() if args.html else None
+    if collector is not None:
+        sinks.append(collector)
     try:
         result = run_study_streaming(
             spec, checker=checker, limit=args.limit,
@@ -471,13 +418,16 @@ def _cmd_study_streaming(args: argparse.Namespace) -> int:
         print(f"wrote {writer.shards} result shard(s) to {args.out}")
 
     _print_study_tables(result)
-    if result.stats is not None:
-        _print_stage_stats(result.stats)
+    _print_stage_stats(result.stats)
 
+    if collector is not None:
+        from repro.core.html_report import write_study_html
+        write_study_html(result, collector.reports, args.html)
+        print(f"\nwrote {args.html}")
     if args.json:
         _write_study_json(result, args.json)
 
-    _print_deviations(result, result.n_apps)
+    _print_deviations(result)
     if runlog is not None:
         runlog.close()
     return 0
@@ -495,30 +445,22 @@ def cmd_merge_results(args: argparse.Namespace) -> int:
     _print_study_tables(result)
     if args.json:
         _write_study_json(result, args.json)
-    _print_deviations(result, result.n_apps)
+    _print_deviations(result)
     return 0
 
 
 def cmd_screen(args: argparse.Namespace) -> int:
-    from repro.core.report import AppFailure
     from repro.core.screening import screen
-    from repro.core.study import run_study_streaming
+    from repro.core.study import ReportCollector, run_study_streaming
     from repro.corpus.appstore import CorpusSpec
 
     # stream the corpus: each app is derived, checked, and freed;
     # only the (small) reports accumulate for ranking
     spec = CorpusSpec(seed=args.seed, n_apps=args.apps)
     checker = PPChecker(lib_policy_source=spec.lib_policy)
-    reports = {}
-
-    class _CollectReports:
-        def emit(self, index, key, outcome):
-            if not isinstance(outcome, AppFailure):
-                reports[key] = outcome
-
-    run_study_streaming(spec, checker=checker,
-                        sinks=[_CollectReports()])
-    report = screen(reports, min_score=args.min_score)
+    collector = ReportCollector()
+    run_study_streaming(spec, checker=checker, sinks=[collector])
+    report = screen(collector.reports, min_score=args.min_score)
 
     print(f"{'rank':>4} {'score':>6} {'package':<40} kinds / headline")
     for rank, entry in enumerate(report.top(args.top), start=1):
@@ -644,6 +586,13 @@ def cmd_export_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -747,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "*different* deterministic corpus "
                             "(default: 1197)")
     study.add_argument("--seed", type=int, default=2016)
-    study.add_argument("--limit", type=int, default=None, metavar="N",
+    study.add_argument("--limit", type=_non_negative_int, default=None,
+                       metavar="N",
                        help="check only the first N apps of the "
                             "corpus without changing it (unlike "
                             "--apps, every checked report is "
@@ -758,14 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render an HTML dashboard here")
     study.add_argument("--workers", type=int, default=1,
                        help="worker threads (default: serial)")
-    study.add_argument("--streaming", action="store_true",
-                       help="derive apps lazily and fold outcomes "
-                            "into constant-size aggregates (peak RSS "
-                            "bounded by --window, not --apps)")
     study.add_argument("--out", default=None, metavar="DIR",
-                       help="with --streaming: write every per-app "
-                            "outcome to sharded NDJSON files in DIR "
-                            "(see merge-results)")
+                       help="also write every per-app outcome to "
+                            "sharded NDJSON files in DIR (see "
+                            "merge-results)")
     study.add_argument("--out-shards", type=int, default=4,
                        metavar="N",
                        help="result file count for --out "
@@ -784,8 +730,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "worker processes (default: json)")
     study.add_argument("--window", type=int, default=None,
                        metavar="N",
-                       help="max in-flight apps for --streaming "
-                            "(default: 4x --workers)")
+                       help="max in-flight apps; peak RSS is "
+                            "bounded by it, not by --apps (default: "
+                            "4x --workers, 32 per shard with "
+                            "--shards)")
     add_cache_dir(study)
     add_resilience(study, batch=True)
     add_journal(study)
@@ -793,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge-results",
-        help="rebuild study tables from --streaming --out shards")
+        help="rebuild study tables from study --out shards")
     merge.add_argument("dir", help="shard directory written by "
-                                   "study --streaming --out")
+                                   "study --out")
     merge.add_argument("--json", default=None,
                        help="also write results to this JSON path")
     merge.set_defaults(func=cmd_merge_results)

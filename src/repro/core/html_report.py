@@ -1,18 +1,20 @@
 """HTML dashboard rendering for study results.
 
-Turns a :class:`repro.core.study.StudyResult` into a single
-self-contained HTML page -- the artifact a market operator would hand
-to a review team: the summary cards, Table III, the Fig. 13
-distribution as CSS bars, Table IV, and the top of the screening
-worklist.  No external assets, no JavaScript dependencies.
+Turns a :class:`repro.core.study.StudyAggregate` plus the per-app
+reports (kept by a :class:`repro.core.study.ReportCollector` sink)
+into a single self-contained HTML page -- the artifact a market
+operator would hand to a review team: the summary cards, Table III,
+the Fig. 13 distribution as CSS bars, Table IV, and the top of the
+screening worklist.  No external assets, no JavaScript dependencies.
 """
 
 from __future__ import annotations
 
 import html
 
+from repro.core.report import AppReport
 from repro.core.screening import screen
-from repro.core.study import StudyResult
+from repro.core.study import StudyAggregate
 
 _PAGE = """<!DOCTYPE html>
 <html lang="en">
@@ -49,8 +51,8 @@ def _esc(value: object) -> str:
     return html.escape(str(value))
 
 
-def _summary_cards(result: StudyResult) -> str:
-    summary = result.summary()
+def _summary_cards(aggregate: StudyAggregate) -> str:
+    summary = aggregate.summary()
     cards = [
         ("apps analyzed", summary["apps"]),
         ("apps with problems",
@@ -68,10 +70,10 @@ def _summary_cards(result: StudyResult) -> str:
     return f'<div class="cards">{body}</div>'
 
 
-def _table3(result: StudyResult) -> str:
+def _table3(aggregate: StudyAggregate) -> str:
     rows = "".join(
         f"<tr><td>{_esc(permission)}</td><td>{count}</td></tr>"
-        for permission, count in sorted(result.table3().items(),
+        for permission, count in sorted(aggregate.table3().items(),
                                         key=lambda kv: -kv[1])
     )
     return ("<h2>Permissions behind description gaps (Table III)</h2>"
@@ -79,8 +81,8 @@ def _table3(result: StudyResult) -> str:
             f"{rows}</table>")
 
 
-def _fig13(result: StudyResult) -> str:
-    dist, retained = result.fig13()
+def _fig13(aggregate: StudyAggregate) -> str:
+    dist, retained = aggregate.fig13()
     if not dist:
         return ""
     peak = max(dist.values())
@@ -98,12 +100,12 @@ def _fig13(result: StudyResult) -> str:
     )
 
 
-def _table4(result: StudyResult) -> str:
+def _table4(aggregate: StudyAggregate) -> str:
     rows = "".join(
         f"<tr><td>{_esc(name)}</td><td>{m.tp}</td><td>{m.fp}</td>"
         f"<td>{m.precision:.3f}</td><td>{m.recall:.3f}</td>"
         f"<td>{m.f1:.3f}</td></tr>"
-        for name, m in result.table4().items()
+        for name, m in aggregate.table4().items()
     )
     return ("<h2>Inconsistency detection (Table IV)</h2>"
             "<table><tr><th>sentence row</th><th>TP</th><th>FP</th>"
@@ -111,8 +113,8 @@ def _table4(result: StudyResult) -> str:
             f"{rows}</table>")
 
 
-def _worklist(result: StudyResult, top: int) -> str:
-    ranking = screen(result.reports)
+def _worklist(reports: dict[str, AppReport], top: int) -> str:
+    ranking = screen(reports)
     rows = "".join(
         f"<tr><td>{rank}</td><td>{entry.score:.1f}</td>"
         f"<td>{_esc(entry.package)}</td>"
@@ -125,22 +127,26 @@ def _worklist(result: StudyResult, top: int) -> str:
             f"<th>kinds</th><th>headline</th></tr>{rows}</table>")
 
 
-def render_study_html(result: StudyResult, top: int = 15) -> str:
-    """Render a study as a self-contained HTML page."""
+def render_study_html(aggregate: StudyAggregate,
+                      reports: dict[str, AppReport],
+                      top: int = 15) -> str:
+    """Render a study -- its tables plus the screening worklist over
+    *reports* (package -> report) -- as a self-contained HTML page."""
     body = "".join([
-        _summary_cards(result),
-        _table3(result),
-        _fig13(result),
-        _table4(result),
-        _worklist(result, top),
+        _summary_cards(aggregate),
+        _table3(aggregate),
+        _fig13(aggregate),
+        _table4(aggregate),
+        _worklist(reports, top),
     ])
     return _PAGE.format(body=body)
 
 
-def write_study_html(result: StudyResult, path: str,
+def write_study_html(aggregate: StudyAggregate,
+                     reports: dict[str, AppReport], path: str,
                      top: int = 15) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_study_html(result, top=top))
+        handle.write(render_study_html(aggregate, reports, top=top))
 
 
 __all__ = ["render_study_html", "write_study_html"]

@@ -1,7 +1,8 @@
 """The 1,197-app study (Section V): run PPChecker over the corpus and
 aggregate the numbers behind every table and figure.
 
-``run_study`` produces a :class:`StudyResult` exposing:
+:func:`run_study_streaming` folds every checked app into a
+:class:`StudyAggregate` exposing:
 
 - Table III: permission -> count of description-incomplete apps,
 - Fig. 13: distribution of missed information (code path),
@@ -10,7 +11,9 @@ aggregate the numbers behind every table and figure.
 - Section V-F: the summary (apps with at least one problem).
 
 Ground-truth labels come from the corpus plans, so precision and
-recall are exact rather than sampled.
+recall are exact rather than sampled.  The fold keeps no per-app
+reports; a :class:`ReportCollector` sink keeps them for the consumers
+that need them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import resource
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.core.checker import PPChecker
 from repro.core.report import AppFailure, AppReport
-from repro.corpus.appstore import AppStore, CorpusSpec
+from repro.corpus.appstore import CorpusSpec
 from repro.corpus.plans import AppPlan
 from repro.pipeline.artifacts import PipelineStats
 from repro.policy.verbs import VerbCategory
@@ -58,224 +62,6 @@ class RowMetrics:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
-class StudyResult:
-    """Everything the benches and EXPERIMENTS.md report."""
-
-    n_apps: int
-    reports: dict[str, AppReport] = field(default_factory=dict)
-    plans: dict[str, AppPlan] = field(default_factory=dict)
-    #: apps the pipeline could not check (degraded mode): package ->
-    #: the structured failure record; never counted in the tables.
-    failures: dict[str, AppFailure] = field(default_factory=dict)
-    #: per-stage wall time / cache-hit counters of the run (None for
-    #: hand-assembled results); excluded from :meth:`to_dict` so table
-    #: exports stay stable across timing noise.
-    stats: PipelineStats | None = field(default=None, repr=False,
-                                        compare=False)
-    #: run telemetry (``peak_rss_kb``, ``apps_per_sec``, ...); like
-    #: ``stats`` it is timing noise, so it never enters
-    #: :meth:`to_dict` or equality.
-    telemetry: dict[str, float | int] | None = field(
-        default=None, repr=False, compare=False)
-
-    # -- incomplete via description (Table III) ---------------------------
-
-    def incomplete_desc_apps(self) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if r.incomplete_via("description")
-        }
-
-    def table3(self) -> dict[str, int]:
-        """permission -> number of flagged apps."""
-        counts: Counter[str] = Counter()
-        for report in self.reports.values():
-            for permission in {
-                f.permission for f in report.incomplete_via("description")
-            }:
-                counts[permission] += 1
-        return dict(counts)
-
-    # -- incomplete via code (Fig. 13) --------------------------------------
-
-    def incomplete_code_apps(self) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if r.incomplete_via("code")
-        }
-
-    def incomplete_code_confusion(self) -> tuple[int, int]:
-        """(true positives, false positives) against ground truth."""
-        tp = fp = 0
-        for pkg in self.incomplete_code_apps():
-            if self.plans[pkg].gt_incomplete_code:
-                tp += 1
-            else:
-                fp += 1
-        return tp, fp
-
-    def fig13(self) -> tuple[Counter[InfoType], int]:
-        """(missed-info distribution, retained records), TP apps only."""
-        counts: Counter[InfoType] = Counter()
-        retained = 0
-        for pkg in self.incomplete_code_apps():
-            if not self.plans[pkg].gt_incomplete_code:
-                continue
-            for finding in self.reports[pkg].incomplete_via("code"):
-                counts[finding.info] += 1
-                if finding.retained:
-                    retained += 1
-        return counts, retained
-
-    # -- incorrect (Section V-D) -----------------------------------------------
-
-    def incorrect_apps(self, source: str | None = None) -> set[str]:
-        return {
-            pkg for pkg, r in self.reports.items()
-            if (r.incorrect if source is None else r.incorrect_via(source))
-        }
-
-    def incorrect_confusion(self) -> tuple[int, int]:
-        tp = fp = 0
-        for pkg in self.incorrect_apps():
-            if self.plans[pkg].gt_incorrect:
-                tp += 1
-            else:
-                fp += 1
-        return tp, fp
-
-    # -- inconsistent (Table IV) --------------------------------------------------
-
-    def _row_membership(self, report: AppReport) -> tuple[bool, bool]:
-        cur = any(
-            f.category is not VerbCategory.DISCLOSE
-            for f in report.inconsistent
-        )
-        disclose = any(
-            f.category is VerbCategory.DISCLOSE
-            for f in report.inconsistent
-        )
-        return cur, disclose
-
-    def table4(self) -> dict[str, RowMetrics]:
-        rows = {"collect_use_retain": RowMetrics(),
-                "disclose": RowMetrics()}
-        for pkg, report in self.reports.items():
-            plan = self.plans[pkg]
-            det_cur, det_d = self._row_membership(report)
-            for row, detected, truth in (
-                ("collect_use_retain", det_cur, plan.gt_inconsistent_cur),
-                ("disclose", det_d, plan.gt_inconsistent_d),
-            ):
-                metrics = rows[row]
-                if detected and truth:
-                    metrics.tp += 1
-                elif detected and not truth:
-                    metrics.fp += 1
-                elif not detected and truth:
-                    metrics.fn += 1
-        return rows
-
-    def inconsistent_true_apps(self) -> set[str]:
-        """Detected AND manually-verified inconsistent apps (the 75)."""
-        out = set()
-        for pkg, report in self.reports.items():
-            if not report.inconsistent:
-                continue
-            plan = self.plans[pkg]
-            det_cur, det_d = self._row_membership(report)
-            if (det_cur and plan.gt_inconsistent_cur) or (
-                det_d and plan.gt_inconsistent_d
-            ):
-                out.add(pkg)
-        return out
-
-    # -- summary (Section V-F) ---------------------------------------------------
-
-    def summary(self) -> dict[str, int | float]:
-        incomplete_tp = {
-            pkg for pkg in self.incomplete_desc_apps()
-            if self.plans[pkg].gt_incomplete_desc
-        } | {
-            pkg for pkg in self.incomplete_code_apps()
-            if self.plans[pkg].gt_incomplete_code
-        }
-        incorrect_tp = {
-            pkg for pkg in self.incorrect_apps()
-            if self.plans[pkg].gt_incorrect
-        }
-        inconsistent_tp = self.inconsistent_true_apps()
-        problem_apps = incomplete_tp | incorrect_tp | inconsistent_tp
-        desc_tp = {
-            pkg for pkg in self.incomplete_desc_apps()
-            if self.plans[pkg].gt_incomplete_desc
-        }
-        code_tp = {
-            pkg for pkg in self.incomplete_code_apps()
-            if self.plans[pkg].gt_incomplete_code
-        }
-        return {
-            "apps": self.n_apps,
-            "problem_apps": len(problem_apps),
-            "problem_fraction": len(problem_apps) / self.n_apps
-            if self.n_apps else 0.0,
-            "incomplete_apps": len(incomplete_tp),
-            "incomplete_via_description": len(desc_tp),
-            "incomplete_via_code": len(code_tp),
-            "incorrect_apps": len(incorrect_tp),
-            "incorrect_via_description": len(
-                {p for p in self.incorrect_apps("description")
-                 if self.plans[p].gt_incorrect}
-            ),
-            "incorrect_via_code": len(
-                {p for p in self.incorrect_apps("code")
-                 if self.plans[p].gt_incorrect}
-            ),
-            "inconsistent_apps": len(inconsistent_tp),
-            "quarantined_apps": len(self.failures),
-        }
-
-    # -- export & paper comparison ------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable rendering of every table and figure."""
-        dist, retained = self.fig13()
-        return {
-            "summary": self.summary(),
-            "table3": self.table3(),
-            "fig13": {
-                info.value: count for info, count in dist.items()
-            },
-            "fig13_retained": retained,
-            "table4": {
-                name: {"tp": row.tp, "fp": row.fp, "fn": row.fn,
-                       "precision": row.precision,
-                       "recall": row.recall, "f1": row.f1}
-                for name, row in self.table4().items()
-            },
-            "quarantine": [
-                self.failures[pkg].to_dict()
-                for pkg in sorted(self.failures)
-            ],
-        }
-
-    def deviations_from_paper(self) -> dict[str, tuple]:
-        """Summary metrics that differ from :data:`PAPER_RESULTS`."""
-        summary = self.summary()
-        out: dict[str, tuple] = {}
-        for key, paper_value in PAPER_RESULTS.items():
-            measured = summary.get(key)
-            if measured is None:
-                continue
-            if isinstance(paper_value, float):
-                if abs(measured - paper_value) > 0.002:
-                    out[key] = (paper_value, measured)
-            elif measured != paper_value:
-                out[key] = (paper_value, measured)
-        return out
-
-
 #: the paper's published evaluation numbers (Section V).
 PAPER_RESULTS: dict[str, int | float] = {
     "apps": 1197,
@@ -291,70 +77,8 @@ PAPER_RESULTS: dict[str, int | float] = {
 }
 
 
-def run_study(
-    store: AppStore,
-    checker: PPChecker | None = None,
-    limit: int | None = None,
-    workers: int = 1,
-    keep_going: bool = True,
-    skip: dict[str, AppReport | AppFailure] | None = None,
-    on_outcome: Callable[[str, AppReport | AppFailure],
-                         None] | None = None,
-) -> StudyResult:
-    """Run PPChecker over every app of the store.
-
-    ``workers`` fans the per-app checks out over the pipeline's batch
-    executor (thread pool, deterministic ordering); the aggregated
-    numbers are identical for any worker count.  The pipeline's
-    per-stage counters land on ``result.stats``.
-
-    With ``keep_going`` (the default) an app whose check fails is
-    quarantined on ``result.failures`` instead of aborting the study
-    -- broken inputs are the norm at corpus scale; pass
-    ``keep_going=False`` to fail fast on the first broken bundle.
-
-    ``skip`` maps package -> an already-known outcome (replayed from
-    a journal by ``study --resume``); those apps are merged into the
-    result without re-checking.  ``on_outcome`` observes every
-    *freshly computed* outcome as ``(package, outcome)`` the moment
-    its app finishes -- the durability layer's checkpoint hook; it
-    never re-fires for skipped apps.
-    """
-    started = time.perf_counter()
-    if checker is None:
-        checker = PPChecker(lib_policy_source=store.lib_policy)
-    apps = store.apps if limit is None else store.apps[:limit]
-    skip = skip or {}
-    result = StudyResult(n_apps=len(apps))
-    remaining = [app for app in apps if app.package not in skip]
-    callback = None
-    if on_outcome is not None:
-        hook = on_outcome
-
-        def callback(bundle, outcome):  # noqa: ANN001 - local adapter
-            hook(bundle.package, outcome)
-
-    outcomes = checker.check_batch(
-        [app.bundle for app in remaining], workers=workers,
-        on_error="quarantine" if keep_going else "raise",
-        on_outcome=callback,
-    )
-    fresh = dict(zip((app.package for app in remaining), outcomes))
-    for app in apps:
-        result.plans[app.package] = app.plan
-        outcome = (skip[app.package] if app.package in skip
-                   else fresh[app.package])
-        if isinstance(outcome, AppFailure):
-            result.failures[app.package] = outcome
-        else:
-            result.reports[app.package] = outcome
-    result.stats = checker.stats
-    result.telemetry = _telemetry(started, len(apps))
-    return result
-
-
 # ---------------------------------------------------------------------------
-# streaming execution
+# the study engine
 # ---------------------------------------------------------------------------
 
 
@@ -377,17 +101,32 @@ class ResultSink(Protocol):
              outcome: AppReport | AppFailure) -> None: ...
 
 
+class ReportCollector:
+    """A :class:`ResultSink` that keeps every finished report, keyed
+    by package in index order -- for the consumers that need per-app
+    reports (``study --html``, ``screen``).  Quarantined apps are not
+    kept here; they stay on :attr:`StudyAggregate.failures`."""
+
+    def __init__(self) -> None:
+        self.reports: dict[str, AppReport] = {}
+
+    def emit(self, index: int, key: str,
+             outcome: AppReport | AppFailure) -> None:
+        if not isinstance(outcome, AppFailure):
+            self.reports[key] = outcome
+
+
 @dataclass
 class StudyAggregate:
-    """:class:`StudyResult`'s tables, folded one app at a time.
+    """The study's tables, folded one app at a time.
 
-    Holds counters instead of the reports dict, so its size is
-    independent of the corpus: the streaming study folds a
-    million-app run into the same few hundred bytes as the paper's
-    1,197.  ``to_dict()`` is pinned byte-identical to
-    ``StudyResult.to_dict()`` -- every table in the materialized
-    result decomposes into per-app increments, and :meth:`fold`
-    applies exactly those increments.
+    Holds counters instead of per-app reports, so its size is
+    independent of the corpus: a million-app run folds into the same
+    few hundred bytes as the paper's 1,197.  Every table decomposes
+    into per-app increments, and :meth:`fold` applies exactly those
+    increments; ``tests/integration/goldens/study_320.json`` pins
+    ``to_dict()`` to the answer of a set-based recomputation over the
+    full reports.
     """
 
     n_apps: int = 0
@@ -474,7 +213,7 @@ class StudyAggregate:
         if desc_tp or code_tp or incorrect_tp or inconsistent_tp:
             summary["problem_apps"] += 1
 
-    # -- StudyResult-compatible views --------------------------------------
+    # -- table views -------------------------------------------------------
 
     def table3(self) -> dict[str, int]:
         return dict(self._table3)
@@ -563,116 +302,56 @@ def run_study_streaming(
     the checker with at most *window* apps in flight (default
     ``4 * workers``), and folded straight into a
     :class:`StudyAggregate` -- peak RSS is set by the window, not by
-    ``len(spec)``.  Outcomes are drained and folded **in index
+    ``len(spec)``.  *limit* checks only the first *limit* apps of the
+    unchanged corpus.  Outcomes are drained and folded **in index
     order** regardless of worker completion order, so every sink
-    (e.g. the sharded NDJSON writer) sees a deterministic emission
-    sequence and reruns are byte-identical.
+    (e.g. the sharded NDJSON writer, a :class:`ReportCollector`) sees
+    a deterministic emission sequence and reruns are byte-identical.
 
-    ``skip``/``on_outcome`` mirror :func:`run_study`: ``skip`` maps
-    package -> journal-replayed outcome (folded and emitted to sinks,
-    but never re-checked and never re-fired through ``on_outcome``),
-    which is what makes a ``--resume`` d streaming run reproduce the
-    uninterrupted run's shards byte-for-byte.
+    With ``keep_going`` (the default) an app whose check fails is
+    quarantined on ``aggregate.failures``; ``keep_going=False``
+    re-raises the first failure in index order.
 
-    With ``shards > 0`` the per-app checks run on the consistent-hash
-    *process* worker plane instead of a thread pool (see
-    :class:`ShardPool`); *checker*/*workers* are ignored and
+    ``skip`` maps package -> an already-known outcome (replayed from
+    a journal by ``study --resume``): folded and emitted to sinks,
+    but never re-checked.  ``on_outcome`` observes every *freshly
+    computed* outcome as ``(package, outcome)``, in index order --
+    the durability layer's checkpoint hook; it never fires for
+    skipped apps.  Together they make a resumed run reproduce the
+    uninterrupted run's tables and result shards byte-for-byte.
+
+    The per-app checks run on one of two planes, each a source of
+    fresh outcomes in index order feeding the same fold loop: a
+    thread pool of *workers* over *checker* (the default), or, with
+    ``shards > 0``, the consistent-hash *process* plane
+    (:class:`ShardPool`), where *checker*/*workers* are ignored and
     *shard_options* carries the pipeline flags each worker process
-    rebuilds its checker from.  Folding and sink emission still
-    happen in the parent, in index order, so the aggregates and the
-    NDJSON result shards stay byte-identical to the in-process run.
+    rebuilds its checker from.  The aggregates and result shards are
+    byte-identical across planes, worker and shard counts.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     started = time.perf_counter()
-    if shards > 0:
-        return _run_study_streaming_sharded(
-            spec, started, limit=limit, shards=shards,
-            shard_options=shard_options,
-            window=window if window is not None else 32,
-            keep_going=keep_going, skip=skip,
-            on_outcome=on_outcome, sinks=sinks)
-    if checker is None:
-        checker = PPChecker(lib_policy_source=spec.lib_policy)
-    total = len(spec) if limit is None else min(limit, len(spec))
-    workers = max(1, workers)
-    if window is None:
-        window = max(4 * workers, 1)
-    window = max(window, workers)
-    skip = skip or {}
-    sinks = tuple(sinks)
-    aggregate = StudyAggregate()
-
-    def outcome_for(plan: AppPlan) -> AppReport | AppFailure:
-        try:
-            return checker.check(spec.app(plan.index).bundle)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            return AppFailure.from_exception(plan.package, exc)
-
-    def settle(plan: AppPlan, outcome: AppReport | AppFailure,
-               fresh: bool) -> None:
-        if fresh and on_outcome is not None:
-            on_outcome(plan.package, outcome)
-        aggregate.fold(plan, outcome)
-        for sink in sinks:
-            sink.emit(plan.index, plan.package, outcome)
-
-    if workers == 1:
-        for index in range(total):
-            plan = spec.plan(index)
-            if plan.package in skip:
-                settle(plan, skip[plan.package], fresh=False)
-            else:
-                settle(plan, outcome_for(plan), fresh=True)
-    else:
-        pending: deque[tuple[AppPlan, object]] = deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for index in range(total):
-                plan = spec.plan(index)
-                if plan.package in skip:
-                    pending.append((plan, skip[plan.package]))
-                else:
-                    pending.append(
-                        (plan, pool.submit(outcome_for, plan)))
-                while len(pending) >= window:
-                    head_plan, slot = pending.popleft()
-                    fresh = isinstance(slot, Future)
-                    outcome = slot.result() if fresh else slot
-                    settle(head_plan, outcome, fresh=fresh)
-            while pending:
-                head_plan, slot = pending.popleft()
-                fresh = isinstance(slot, Future)
-                outcome = slot.result() if fresh else slot
-                settle(head_plan, outcome, fresh=fresh)
-
-    aggregate.stats = checker.stats
-    aggregate.telemetry = _telemetry(started, total)
-    return aggregate
-
-
-def _run_study_streaming_sharded(
-    spec: CorpusSpec,
-    started: float,
-    limit: int | None,
-    shards: int,
-    shard_options: "ShardOptions | None",
-    window: int,
-    keep_going: bool,
-    skip: dict[str, AppReport | AppFailure] | None,
-    on_outcome: Callable[[str, AppReport | AppFailure], None] | None,
-    sinks: Iterable[ResultSink],
-) -> StudyAggregate:
-    """The streaming study's process worker plane: per-app checks run
-    on a :class:`ShardPool`; folding and sink emission stay in the
-    parent, in index order."""
     total = len(spec) if limit is None else min(limit, len(spec))
     skip = skip or {}
     sinks = tuple(sinks)
     aggregate = StudyAggregate()
-    with ShardPool(spec, shards=shards, total=total, skip=set(skip),
-                   options=shard_options, keep_going=keep_going,
-                   window=window) as pool:
-        fresh = pool.outcomes()
+    with ExitStack() as stack:
+        if shards > 0:
+            pool = stack.enter_context(ShardPool(
+                spec, shards=shards, total=total, skip=set(skip),
+                options=shard_options, keep_going=keep_going,
+                window=32 if window is None else window))
+            fresh = pool.outcomes()
+        else:
+            if checker is None:
+                checker = PPChecker(lib_policy_source=spec.lib_policy)
+            workers = max(1, workers)
+            window = max(4 * workers if window is None else window,
+                         workers)
+            fresh = stack.enter_context(closing(_thread_outcomes(
+                spec, checker, total, skip, workers, window,
+                keep_going)))
         for index in range(total):
             plan = spec.plan(index)
             if plan.package in skip:
@@ -683,10 +362,43 @@ def _run_study_streaming_sharded(
                     on_outcome(plan.package, outcome)
             aggregate.fold(plan, outcome)
             for sink in sinks:
-                sink.emit(plan.index, plan.package, outcome)
-        aggregate.stats = pool.finish()
+                sink.emit(index, plan.package, outcome)
+        aggregate.stats = pool.finish() if shards > 0 else checker.stats
     aggregate.telemetry = _telemetry(started, total)
     return aggregate
+
+
+def _thread_outcomes(
+    spec: CorpusSpec, checker: PPChecker, total: int,
+    skip: dict[str, AppReport | AppFailure], workers: int,
+    window: int, keep_going: bool,
+) -> Iterator[tuple[int, AppReport | AppFailure]]:
+    """The in-process plane: yield ``(index, outcome)`` for every
+    fresh (non-skipped) index below *total*, ascending, with at most
+    *window* checks in flight on *workers* threads (inline for one)."""
+
+    def check(index: int) -> tuple[int, AppReport | AppFailure]:
+        try:
+            return index, checker.check(spec.app(index).bundle)
+        except Exception as exc:
+            if not keep_going:
+                raise
+            return index, AppFailure.from_exception(
+                spec.package_for(index), exc)
+
+    fresh = (index for index in range(total)
+             if spec.package_for(index) not in skip)
+    if workers == 1:
+        yield from map(check, fresh)
+        return
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for index in fresh:
+            pending.append(pool.submit(check, index))
+            if len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def merge_study_results(out_dir: str) -> StudyAggregate:
@@ -916,73 +628,7 @@ class ShardPool:
             queue.cancel_join_thread()
 
 
-def run_study_sharded(
-    seed: int = 2016,
-    n_apps: int = 1197,
-    shards: int = 2,
-    limit: int | None = None,
-    keep_going: bool = True,
-    skip: dict[str, AppReport | AppFailure] | None = None,
-    on_outcome: Callable[[str, AppReport | AppFailure],
-                         None] | None = None,
-    options: ShardOptions | None = None,
-    window: int = 32,
-) -> StudyResult:
-    """The study over the consistent-hash worker plane: *shards*
-    processes, each checking the corpus indices the service hash ring
-    assigns to it, drained in index order.
-
-    The aggregated result is byte-identical to :func:`run_study` for
-    any shard count -- assignment only decides *where* an app is
-    checked, never what its report says.  ``skip``/``on_outcome``
-    mirror :func:`run_study` (journal replay / checkpoint hooks); the
-    hooks fire in the parent, in index order, so a journaled sharded
-    run resumes exactly like a single-process one.
-    """
-    started = time.perf_counter()
-    spec = CorpusSpec(seed=seed, n_apps=n_apps)
-    total = len(spec) if limit is None else min(limit, len(spec))
-    skip = skip or {}
-    result = StudyResult(n_apps=total)
-    with ShardPool(spec, shards=shards, total=total, skip=set(skip),
-                   options=options, keep_going=keep_going,
-                   window=window) as pool:
-        fresh = pool.outcomes()
-        for index in range(total):
-            plan = spec.plan(index)
-            if plan.package in skip:
-                outcome = skip[plan.package]
-            else:
-                _, outcome = next(fresh)
-                if on_outcome is not None:
-                    on_outcome(plan.package, outcome)
-            result.plans[plan.package] = plan
-            if isinstance(outcome, AppFailure):
-                result.failures[plan.package] = outcome
-            else:
-                result.reports[plan.package] = outcome
-        result.stats = pool.finish()
-    result.telemetry = _telemetry(started, total)
-    return result
-
-
-def run_study_parallel(
-    seed: int = 2016,
-    n_apps: int = 1197,
-    jobs: int = 2,
-) -> StudyResult:
-    """The study fanned out over worker processes -- the same
-    hash-ring worker plane as ``study --shards N``.
-
-    Each worker derives only its own apps from the lazy
-    :class:`CorpusSpec` (per-index RNG derivation -- no worker ever
-    builds the full store), so no APKs cross process boundaries --
-    only the reports come back.
-    """
-    return run_study_sharded(seed=seed, n_apps=n_apps, shards=jobs)
-
-
-__all__ = ["RowMetrics", "StudyResult", "StudyAggregate",
-           "ResultSink", "ShardOptions", "ShardPool", "PAPER_RESULTS",
-           "run_study", "run_study_streaming", "run_study_sharded",
-           "merge_study_results", "run_study_parallel"]
+__all__ = ["RowMetrics", "StudyAggregate", "ResultSink",
+           "ReportCollector", "ShardOptions", "ShardPool",
+           "PAPER_RESULTS", "run_study_streaming",
+           "merge_study_results"]

@@ -21,7 +21,7 @@ before?":
   backfilling the memory layer on a disk hit.
 
 :class:`PipelineStats` aggregates per-stage wall time, execution and
-cache-hit counts; it is what ``StudyResult.stats`` and the CLI
+cache-hit counts; it is what ``StudyAggregate.stats`` and the CLI
 ``--json`` output surface.
 """
 

@@ -1,10 +1,10 @@
 """Batch fan-out with deterministic result ordering.
 
-``BatchExecutor.map`` is the one primitive the batch entry points
-(``run_study``, ``repro.cli study``, ``repro.cli batch-check``) build
-on: apply a function to every item, return results in *input* order
-regardless of completion order, run serially when ``workers <= 1`` so
-the default path is byte-identical to the pre-pipeline behaviour.
+``BatchExecutor.map`` is the primitive behind ``check_batch`` and so
+behind ``repro.cli batch-check``: apply a function to every item,
+return results in *input* order regardless of completion order, run
+serially when ``workers <= 1`` so the default path is byte-identical
+to the pre-pipeline behaviour.
 
 A worker exception surfaces as :class:`BatchItemError` naming the
 failing item's index (and a truncated repr of the item), in every
@@ -16,8 +16,9 @@ Threads are the default worker kind: checker objects (closures over
 lib-policy sources, shared artifact stores) do not need to pickle, and
 the artifact store plus stats counters are shared and lock-protected.
 ``kind="process"`` switches to a process pool for picklable workloads
-(see :func:`repro.core.study.run_study_parallel` for the
-regenerate-in-worker pattern that keeps APKs off the wire).
+(the study's process plane, :class:`repro.core.study.ShardPool`,
+instead regenerates apps inside each worker, which keeps APKs off the
+wire).
 """
 
 from __future__ import annotations

@@ -115,12 +115,14 @@ class TestScreen:
 
 
 class TestOnStudy:
-    def test_screening_the_corpus(self, full_store, checker):
+    def test_screening_the_corpus(self, checker):
         """The planted incorrect apps rank at the top of the market."""
-        from repro.core.study import run_study
-        result = run_study(full_store, checker=checker,
-                           limit=320)
-        report = screen(result.reports)
+        from repro.core.study import ReportCollector, run_study_streaming
+        from repro.corpus.appstore import CorpusSpec
+        collector = ReportCollector()
+        run_study_streaming(CorpusSpec(), checker=checker, limit=320,
+                            sinks=[collector])
+        report = screen(collector.reports)
         top_kinds = {k for e in report.top(6) for k in e.kinds}
         assert "incorrect" in top_kinds
         # every flagged app appears exactly once

@@ -17,8 +17,8 @@ import time
 import pytest
 
 from repro.core.report import AppFailure, AppReport
-from repro.core.study import run_study
-from repro.corpus.appstore import generate_app_store
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec, generate_app_store
 from repro.durability.journal import replay
 from repro.durability.study_log import (
     RunLog,
@@ -99,30 +99,35 @@ class TestRunLog:
         assert set(outcomes) == {"pkg"}
 
 
+def study(**kwargs):
+    """The study over the module's corpus: (aggregate, reports)."""
+    collector = ReportCollector()
+    aggregate = run_study_streaming(
+        CorpusSpec(seed=2016, n_apps=N_APPS), sinks=[collector],
+        **kwargs)
+    return aggregate, collector.reports
+
+
 class TestStudySkip:
-    def test_skip_merges_identically_to_full_run(self, store):
-        full = run_study(store, workers=2)
-        half = dict(list(full.reports.items())[:3])
-        resumed = run_study(store, skip=half, workers=2)
-        assert {p: r.to_dict() for p, r in resumed.reports.items()} \
-            == {p: r.to_dict() for p, r in full.reports.items()}
+    def test_skip_merges_identically_to_full_run(self):
+        full, full_reports = study(workers=2)
+        half = dict(list(full_reports.items())[:3])
+        resumed, resumed_reports = study(skip=half, workers=2)
+        assert {p: r.to_dict() for p, r in resumed_reports.items()} \
+            == {p: r.to_dict() for p, r in full_reports.items()}
         assert resumed.to_dict() == full.to_dict()
 
     def test_on_outcome_fires_once_per_fresh_app(self, store):
         seen = []
-        run_study(store, on_outcome=lambda pkg, out:
-                  seen.append(pkg))
-        assert sorted(seen) == sorted(
-            app.package for app in store.apps)
+        _, full_reports = study(on_outcome=lambda pkg, out:
+                                seen.append(pkg))
+        assert seen == [app.package for app in store.apps]
         seen.clear()
         skip_keys = [app.package for app in store.apps[:4]]
-        full = run_study(store)
-        run_study(store,
-                  skip={k: full.reports[k] for k in skip_keys
-                        if k in full.reports},
-                  on_outcome=lambda pkg, out: seen.append(pkg))
-        assert sorted(seen) == sorted(
-            app.package for app in store.apps[4:])
+        study(skip={k: full_reports[k] for k in skip_keys
+                    if k in full_reports},
+              on_outcome=lambda pkg, out: seen.append(pkg))
+        assert seen == [app.package for app in store.apps[4:]]
 
 
 def run_cli(args, env, timeout=300):

@@ -14,14 +14,14 @@ import pytest
 
 from repro.cli import main
 from repro.core.checker import PPChecker
-from repro.core.study import run_study
-from repro.corpus.appstore import generate_app_store
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec, generate_app_store
 from repro.android.serialization import save_bundle
 from repro.pipeline import stages
 from repro.pipeline.artifacts import build_store
 from repro.pipeline.executor import BatchItemError
 from repro.pipeline.faults import FaultPlan, FaultSpec
-from repro.pipeline.resilience import RetryPolicy
+from repro.pipeline.resilience import RetryPolicy, StageError
 
 N_APPS = 6
 #: generous per-stage budget -- healthy corpus stages run in
@@ -49,6 +49,15 @@ def crash_and_hang_plan(raise_pkg, hang_pkg):
     ])
 
 
+def degraded_study(store, checker, **kwargs):
+    """The study over *store*'s corpus: (aggregate, reports)."""
+    collector = ReportCollector()
+    aggregate = run_study_streaming(
+        CorpusSpec(seed=store.seed, n_apps=len(store)),
+        checker=checker, sinks=[collector], **kwargs)
+    return aggregate, collector.reports
+
+
 def degraded_checker(store, plan, artifact_store=None):
     return PPChecker(
         lib_policy_source=store.lib_policy,
@@ -63,9 +72,9 @@ class TestDegradedStudy:
         raise_pkg, hang_pkg = fault_targets(store)
         checker = degraded_checker(
             store, crash_and_hang_plan(raise_pkg, hang_pkg))
-        result = run_study(store, checker=checker, workers=2)
+        result, reports = degraded_study(store, checker, workers=2)
 
-        assert len(result.reports) == N_APPS - 2
+        assert len(reports) == N_APPS - 2
         assert set(result.failures) == {raise_pkg, hang_pkg}
 
         crash = result.failures[raise_pkg]
@@ -85,13 +94,20 @@ class TestDegradedStudy:
         json.dumps(doc["quarantine"])
 
     def test_keep_going_false_fails_fast(self, store):
-        raise_pkg, _ = fault_targets(store)
+        # two broken apps, both in flight at once: the first in index
+        # order is the one that surfaces, and no later app is settled
+        first, second = fault_targets(store)
         plan = FaultPlan([FaultSpec(stage=stages.POLICY_ANALYSIS,
-                                    match=raise_pkg)])
+                                    match=package)
+                          for package in (first, second)])
         checker = degraded_checker(store, plan)
-        with pytest.raises(BatchItemError) as excinfo:
-            run_study(store, checker=checker, keep_going=False)
-        assert excinfo.value.index == 1
+        settled = []
+        with pytest.raises(StageError) as excinfo:
+            degraded_study(store, checker, workers=2, keep_going=False,
+                           on_outcome=lambda pkg, _: settled.append(pkg))
+        assert excinfo.value.context == first
+        assert first in str(excinfo.value)
+        assert settled == [store.apps[0].package]
 
 
 class TestDeterminism:
@@ -109,9 +125,10 @@ class TestDeterminism:
     def run_once(self, store, workers=1, artifact_store=None):
         checker = degraded_checker(store, self.fault_plan(store),
                                    artifact_store=artifact_store)
-        result = run_study(store, checker=checker, workers=workers)
+        result, reports = degraded_study(store, checker,
+                                         workers=workers)
         reports = {pkg: report.to_dict()
-                   for pkg, report in result.reports.items()}
+                   for pkg, report in reports.items()}
         quarantine = [result.failures[pkg].to_dict()
                       for pkg in sorted(result.failures)]
         return reports, quarantine

@@ -7,7 +7,9 @@ emergent behaviour may drift by an app or two.
 
 import pytest
 
-from repro.core.study import run_study
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec
+from repro.policy.verbs import VerbCategory
 
 # corpus scale: CI's fast lane deselects this module (-m "not slow")
 # and a dedicated step runs it (-m slow)
@@ -15,8 +17,30 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def result(full_store, checker):
-    return run_study(full_store, checker=checker)
+def run(checker):
+    """The full study's aggregate, its per-app reports, and the
+    ground-truth plans by package."""
+    spec = CorpusSpec()
+    collector = ReportCollector()
+    aggregate = run_study_streaming(spec, checker=checker,
+                                    sinks=[collector])
+    plans = {plan.package: plan for plan in spec.iter_plans()}
+    return aggregate, collector.reports, plans
+
+
+@pytest.fixture(scope="module")
+def result(run):
+    return run[0]
+
+
+def confusion(run, detected, truth) -> tuple[int, int]:
+    """(true, false) positives among the apps whose report satisfies
+    *detected*, judged by the plan attribute *truth*."""
+    _, reports, plans = run
+    flagged = [pkg for pkg, report in reports.items()
+               if detected(report)]
+    tp = sum(1 for pkg in flagged if getattr(plans[pkg], truth))
+    return tp, len(flagged) - tp
 
 
 class TestSectionVF:
@@ -65,11 +89,12 @@ class TestTableIII:
 
 
 class TestFig13:
-    def test_flagged_and_confusion(self, result):
+    def test_flagged_and_confusion(self, result, run):
         tp, fp = result.incomplete_code_confusion()
         assert tp == 180
         assert fp == 15
-        assert len(result.incomplete_code_apps()) == 195
+        assert confusion(run, lambda r: r.incomplete_via("code"),
+                         "gt_incomplete_code") == (180, 15)
 
     def test_234_records_32_retained(self, result):
         dist, retained = result.fig13()
@@ -99,12 +124,20 @@ class TestTableIV:
         assert row.recall == pytest.approx(0.923, abs=0.02)
         assert row.f1 == pytest.approx(0.914, abs=0.02)
 
-    def test_75_distinct_true_apps(self, result):
-        assert len(result.inconsistent_true_apps()) == 75
+    def test_75_distinct_true_apps(self, run):
+        _, reports, plans = run
+        true_apps = set()
+        for pkg, report in reports.items():
+            disclose = {f.category is VerbCategory.DISCLOSE
+                        for f in report.inconsistent}
+            plan = plans[pkg]
+            if (False in disclose and plan.gt_inconsistent_cur) or (
+                    True in disclose and plan.gt_inconsistent_d):
+                true_apps.add(pkg)
+        assert len(true_apps) == 75
 
 
 class TestIncorrectDetail:
-    def test_confusion(self, result):
-        tp, fp = result.incorrect_confusion()
-        assert tp == 4
-        assert fp == 2
+    def test_confusion(self, run):
+        assert confusion(run, lambda r: r.incorrect,
+                         "gt_incorrect") == (4, 2)

@@ -8,7 +8,7 @@ caches on and with ``REPRO_NO_MEMO=1``.
 
 Covered surfaces:
 
-- ``run_study`` over the seeded 64-app corpus slice (in-process,
+- the study over the seeded 64-app corpus slice (in-process,
   toggled via :func:`repro.memo.set_memo_enabled`);
 - ``python -m repro.cli check BUNDLE --json`` as a real subprocess,
   with and without ``REPRO_NO_MEMO=1`` in the environment, over
@@ -28,7 +28,8 @@ import pytest
 from repro.android.serialization import save_bundle
 from repro.core.checker import PPChecker
 from repro.core.schema import versioned
-from repro.core.study import run_study
+from repro.core.study import run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 from repro.memo import NO_MEMO_ENV, clear_caches, set_memo_enabled
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -59,7 +60,9 @@ class TestStudyEquivalence:
         set_memo_enabled(enabled)
         clear_caches()
         checker = PPChecker(lib_policy_source=store.lib_policy)
-        result = run_study(store, checker=checker)
+        result = run_study_streaming(
+            CorpusSpec(seed=store.seed, n_apps=len(store)),
+            checker=checker)
         return json.dumps(versioned(result.to_dict()), sort_keys=True)
 
     def test_study_byte_identical(self, small_store, memo_toggle):

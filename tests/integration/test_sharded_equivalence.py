@@ -2,17 +2,17 @@
 
 Differential proof obligations for the ``--shards N`` worker planes:
 
-- ``run_study_sharded`` reproduces ``run_study``'s tables
-  byte-identically for any shard count, cold *and* warm through the
-  shared sqlite artifact store (the full 1,197-app study rides in the
+- the study on the process plane (``shards > 0``) reproduces the
+  in-process tables byte-identically for any shard count, cold *and*
+  warm through the shared sqlite artifact store, and matches the
+  recorded 320-app goldens (the full 1,197-app study rides in the
   slow lane),
-- the streaming study on the process plane folds the same aggregates
-  and writes the same NDJSON result shards as the in-process one,
+- it writes the same NDJSON result shards as the in-process plane,
 - the journal hooks fire identically, so a resumed sharded run merges
   replayed outcomes exactly like a single-process one,
-- the CLI end to end: ``study --shards N`` (materialized and
-  streaming + merge-results) prints the same tables and writes the
-  same JSON as plain ``study``,
+- the CLI end to end: ``study --shards N`` (plain and ``--out`` +
+  merge-results) prints the same tables and writes the same JSON as
+  plain ``study``,
 - the sharded service: ``/v1/batch`` against ``serve --shards N``
   returns the same reports in the same order as the single-process
   service.
@@ -26,17 +26,29 @@ import sys
 import pytest
 
 from repro.core.study import (
+    ReportCollector,
     ShardOptions,
     merge_study_results,
-    run_study,
-    run_study_sharded,
     run_study_streaming,
 )
 from repro.corpus.appstore import CorpusSpec
 
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "goldens")
+
 
 def canonical(doc):
     return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+        return handle.read().rstrip(b"\n")
+
+
+def sharded(n_apps=1197, shards=2, **kwargs):
+    return run_study_streaming(CorpusSpec(n_apps=n_apps),
+                               shards=shards, **kwargs)
 
 
 def run_cli(args, env, timeout=600):
@@ -70,14 +82,12 @@ def total_hits(result) -> int:
 
 
 class TestShardedStudyEquivalence:
-    def test_cold_and_warm_match_serial(self, tmp_path, small_store):
-        base = run_study(small_store)
+    def test_cold_and_warm_match_serial(self, tmp_path):
+        base = run_study_streaming(CorpusSpec(n_apps=64))
         options = ShardOptions(cache_dir=str(tmp_path / "cache"),
                                store_backend="sqlite")
-        cold = run_study_sharded(n_apps=64, shards=4,
-                                 options=options)
-        warm = run_study_sharded(n_apps=64, shards=4,
-                                 options=options)
+        cold = sharded(n_apps=64, shards=4, shard_options=options)
+        warm = sharded(n_apps=64, shards=4, shard_options=options)
         assert canonical(cold.to_dict()) == canonical(base.to_dict())
         assert canonical(warm.to_dict()) == canonical(base.to_dict())
         # the warm pass really re-read the shared sqlite store: every
@@ -85,19 +95,21 @@ class TestShardedStudyEquivalence:
         assert total_hits(warm) > total_hits(cold)
 
     def test_shard_count_never_changes_the_tables(self):
-        results = [run_study_sharded(n_apps=32, shards=shards)
+        results = [sharded(n_apps=32, shards=shards)
                    for shards in (1, 2, 5)]
         payloads = {canonical(result.to_dict())
                     for result in results}
         assert len(payloads) == 1
 
-    def test_limit_matches_run_study_limit(self, mid_store):
-        base = run_study(mid_store, limit=48)
-        sharded = run_study_sharded(n_apps=len(mid_store), shards=3,
-                                    limit=48)
-        assert canonical(sharded.to_dict()) \
-            == canonical(base.to_dict())
-        assert sharded.n_apps == 48
+    def test_matches_golden(self):
+        assert canonical(sharded(n_apps=320).to_dict()) \
+            == golden("study_320.json")
+
+    def test_limit_matches_golden(self):
+        limited = sharded(n_apps=320, shards=3, limit=100)
+        assert canonical(limited.to_dict()) \
+            == golden("study_320_limit100.json")
+        assert limited.n_apps == 100
 
     def test_streaming_sharded_writes_identical_result_shards(
             self, tmp_path):
@@ -127,29 +139,30 @@ class TestShardedStudyEquivalence:
         assert canonical(merged.to_dict()) \
             == canonical(inproc.to_dict())
 
-    def test_skip_merges_like_a_resumed_journal(self, small_store):
-        base = run_study(small_store)
+    def test_skip_merges_like_a_resumed_journal(self):
+        collector = ReportCollector()
+        base = run_study_streaming(CorpusSpec(n_apps=64),
+                                   sinks=[collector])
         # replay half the outcomes as if a journal survived a crash
-        packages = sorted(base.reports)[::2]
-        skip = {package: base.reports[package]
+        packages = sorted(collector.reports)[::2]
+        skip = {package: collector.reports[package]
                 for package in packages}
         fresh_fired = []
-        resumed = run_study_sharded(
+        resumed = sharded(
             n_apps=64, shards=3, skip=skip,
             on_outcome=lambda pkg, outcome: fresh_fired.append(pkg))
         assert canonical(resumed.to_dict()) \
             == canonical(base.to_dict())
         # the checkpoint hook fired for exactly the fresh apps
-        assert set(fresh_fired) == set(base.reports) - set(skip)
+        assert set(fresh_fired) == set(collector.reports) - set(skip)
 
     @pytest.mark.slow
-    def test_full_1197_study_cold_and_warm(self, tmp_path,
-                                           full_store, checker):
-        base = run_study(full_store, checker=checker)
+    def test_full_1197_study_cold_and_warm(self, tmp_path, checker):
+        base = run_study_streaming(CorpusSpec(), checker=checker)
         options = ShardOptions(cache_dir=str(tmp_path / "cache"),
                                store_backend="sqlite")
-        cold = run_study_sharded(shards=4, options=options)
-        warm = run_study_sharded(shards=4, options=options)
+        cold = sharded(shards=4, shard_options=options)
+        warm = sharded(shards=4, shard_options=options)
         assert canonical(cold.to_dict()) == canonical(base.to_dict())
         assert canonical(warm.to_dict()) == canonical(base.to_dict())
         assert total_hits(warm) > total_hits(cold)
@@ -194,7 +207,7 @@ class TestShardedStudyCli:
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--streaming", "--shards", "3",
+                       "--shards", "3",
                        "--out", shards, "--out-shards", "2",
                        "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr

@@ -1,13 +1,16 @@
-"""The streaming study is byte-equivalent to the materialized one.
+"""The streaming study reproduces the set-based study tables.
 
-Three proof obligations from the streaming refactor:
+Proof obligations of the one study engine:
 
-- streaming + merge reconstitutes the materialized ``study`` tables
-  byte-identically (in-process at mid scale, full 1,197-app scale in
-  the slow lane, and through the real CLI end to end),
-- a streaming run killed by an injected crash fault and restarted
-  with ``--resume`` reproduces the uninterrupted run's shards and
-  JSON byte-for-byte,
+- the fold and a merge of its result shards reproduce the tables a
+  set-based recomputation over the full per-app reports gives
+  (pinned as ``goldens/study_320*.json``, recorded while that
+  recomputation still shipped; in-process at mid scale, full
+  1,197-app scale in the slow lane, and through the real CLI end to
+  end),
+- a run killed by an injected crash fault and restarted with
+  ``--resume`` reproduces the uninterrupted run's shards and JSON
+  byte-for-byte,
 - peak memory is bounded by the window, not the corpus: 10k apps
   stay within a small constant factor of 1k apps (tracemalloc).
 """
@@ -21,17 +24,23 @@ import pytest
 
 from repro.core.checker import PPChecker
 from repro.core.results import ShardedResultWriter, iter_results
-from repro.core.study import (
-    merge_study_results,
-    run_study,
-    run_study_streaming,
-)
+from repro.core.study import merge_study_results, run_study_streaming
 from repro.corpus.appstore import CorpusSpec
 from repro.pipeline.faults import CRASH_EXIT_CODE
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "goldens")
 
 
 def canonical(doc):
     return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def golden(name="study_320.json"):
+    """The recorded tables of the 320-app ``mid_store`` corpus (or of
+    its first 100 apps, ``study_320_limit100.json``)."""
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+        return handle.read().rstrip(b"\n")
 
 
 def run_cli(args, env, timeout=600):
@@ -60,36 +69,33 @@ def stripped(path):
 
 
 class TestStreamingEquivalence:
-    def test_streaming_matches_materialized_mid_scale(self,
-                                                      mid_store):
-        base = run_study(mid_store)
-        spec = CorpusSpec(n_apps=len(mid_store))
+    def test_streaming_matches_materialized_mid_scale(self):
+        spec = CorpusSpec(n_apps=320)
         for workers in (1, 3):
             aggregate = run_study_streaming(spec, workers=workers)
-            assert canonical(aggregate.to_dict()) \
-                == canonical(base.to_dict())
+            assert canonical(aggregate.to_dict()) == golden()
 
-    def test_merge_reconstitutes_the_tables(self, tmp_path,
-                                            mid_store):
-        base = run_study(mid_store)
-        spec = CorpusSpec(n_apps=len(mid_store))
+    def test_merge_reconstitutes_the_tables(self, tmp_path):
+        spec = CorpusSpec(n_apps=320)
         out = str(tmp_path / "shards")
         meta = {"kind": "study", "seed": spec.seed,
                 "apps": spec.n_apps}
         with ShardedResultWriter(out, meta, shards=4) as writer:
             run_study_streaming(spec, workers=2, sinks=[writer])
         merged = merge_study_results(out)
-        assert canonical(merged.to_dict()) \
-            == canonical(base.to_dict())
+        assert canonical(merged.to_dict()) == golden()
         indices = [index for index, _, _ in iter_results(out)]
-        assert indices == list(range(len(mid_store)))
+        assert indices == list(range(320))
 
-    def test_limit_matches_run_study_limit(self, mid_store):
-        base = run_study(mid_store, limit=100)
-        spec = CorpusSpec(n_apps=len(mid_store))
+    def test_limit_matches_golden(self):
+        spec = CorpusSpec(n_apps=320)
         aggregate = run_study_streaming(spec, limit=100)
         assert canonical(aggregate.to_dict()) \
-            == canonical(base.to_dict())
+            == golden("study_320_limit100.json")
+
+    def test_negative_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            run_study_streaming(CorpusSpec(n_apps=6), limit=-1)
 
     def test_telemetry_is_populated(self, mid_store):
         spec = CorpusSpec(n_apps=64)
@@ -99,9 +105,9 @@ class TestStreamingEquivalence:
 
     @pytest.mark.slow
     def test_full_1197_study_is_byte_identical(self, tmp_path,
-                                               full_store, checker):
-        base = run_study(full_store, checker=checker)
+                                               checker):
         spec = CorpusSpec()
+        base = run_study_streaming(spec, checker=checker)
         out = str(tmp_path / "shards")
         meta = {"kind": "study", "seed": spec.seed,
                 "apps": spec.n_apps}
@@ -136,7 +142,7 @@ class TestStreamingCli:
         str_json = str(tmp_path / "str.json")
         merged_json = str(tmp_path / "merged.json")
         run = run_cli(["study", "--apps", str(self.N_APPS),
-                       "--streaming", "--workers", "2",
+                       "--workers", "2",
                        "--out", shards, "--json", str_json], env)
         assert run.returncode == 0, run.stdout + run.stderr
         merge = run_cli(["merge-results", shards,
@@ -166,7 +172,7 @@ class TestStreamingCli:
         journal = str(tmp_path / "study.jsonl")
         crashed = str(tmp_path / "crashed")
         out_json = str(tmp_path / "out.json")
-        base = ["study", "--apps", str(self.N_APPS), "--streaming",
+        base = ["study", "--apps", str(self.N_APPS),
                 "--out", crashed, "--journal", journal,
                 "--json", out_json]
 
@@ -181,10 +187,10 @@ class TestStreamingCli:
         assert "== recovery ==" in second.stdout
         assert stripped(out_json) == stripped(ref_json)
 
-        # an uninterrupted streaming run writes the very same bytes
+        # an uninterrupted run writes the very same bytes
         clean = str(tmp_path / "clean")
         third = run_cli(["study", "--apps", str(self.N_APPS),
-                         "--streaming", "--out", clean], env)
+                         "--out", clean], env)
         assert third.returncode == 0, third.stdout + third.stderr
         names = sorted(os.listdir(clean))
         assert names == sorted(os.listdir(crashed))
@@ -193,9 +199,41 @@ class TestStreamingCli:
                     open(os.path.join(clean, name), "rb") as b:
                 assert a.read() == b.read()
 
-    def test_out_requires_streaming(self, tmp_path):
-        run = run_cli(["study", "--apps", "4",
+    def test_out_and_html_compose(self, tmp_path, reference):
+        # one run on the process plane writes the result shards and
+        # the HTML dashboard; the shards merge to the reference tables
+        ref_json, _ = reference
+        env = cli_env()
+        shards = str(tmp_path / "shards")
+        page = str(tmp_path / "study.html")
+        merged_json = str(tmp_path / "merged.json")
+        run = run_cli(["study", "--apps", str(self.N_APPS),
+                       "--out", shards, "--html", page,
+                       "--shards", "2"], env)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert f"wrote {page}" in run.stdout
+        with open(page, encoding="utf-8") as handle:
+            html = handle.read()
+        assert "Screening worklist" in html
+        # the worklist ranks per-app reports the collector kept
+        spec = CorpusSpec(n_apps=self.N_APPS)
+        assert any(f"<td>{spec.package_for(index)}</td>" in html
+                   for index in range(self.N_APPS))
+        merge = run_cli(["merge-results", shards,
+                         "--json", merged_json], env)
+        assert merge.returncode == 0, merge.stdout + merge.stderr
+        assert stripped(merged_json) == stripped(ref_json)
+
+    def test_negative_limit_exits_2(self, tmp_path):
+        run = run_cli(["study", "--apps", "6", "--limit", "-1",
                        "--out", str(tmp_path / "x")], cli_env())
+        assert run.returncode == 2
+        assert "--limit" in run.stderr
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_streaming_flag_is_gone(self):
+        run = run_cli(["study", "--apps", "4", "--streaming"],
+                      cli_env())
         assert run.returncode == 2
         assert "--streaming" in run.stderr
 

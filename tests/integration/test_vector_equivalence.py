@@ -9,9 +9,9 @@ the user sees is byte-identical across every combination of
 
 Covered surfaces:
 
-- ``run_study`` over the seeded 64-app slice across all four
+- the study over the seeded 64-app slice across all four
   vector x memo combinations (in-process toggles);
-- ``run_study`` over the complete 1,197-app corpus, vectorized vs.
+- the study over the complete 1,197-app corpus, vectorized vs.
   scalar vs. scalar-no-memo (the ``slow`` lane);
 - ``python -m repro.cli check BUNDLE --json`` as a real subprocess
   with ``REPRO_NO_VECTOR=1`` in the environment, over bundles
@@ -29,7 +29,8 @@ import pytest
 
 from repro.core.checker import PPChecker
 from repro.core.schema import versioned
-from repro.core.study import run_study
+from repro.core.study import run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 from repro.memo import (
     NO_MEMO_ENV,
     NO_VECTOR_ENV,
@@ -60,7 +61,8 @@ def study_json(store, vector: bool, memo: bool) -> str:
     set_memo_enabled(memo)
     clear_caches()
     checker = PPChecker(lib_policy_source=store.lib_policy)
-    result = run_study(store, checker=checker)
+    result = run_study_streaming(
+        CorpusSpec(seed=store.seed, n_apps=len(store)), checker=checker)
     return json.dumps(versioned(result.to_dict()), sort_keys=True)
 
 

@@ -12,7 +12,8 @@ The acceptance bar of the staged-pipeline refactor:
 import pytest
 
 from repro.core.checker import PPChecker
-from repro.core.study import run_study
+from repro.core.study import ReportCollector, run_study_streaming
+from repro.corpus.appstore import CorpusSpec
 from repro.pipeline import Pipeline, build_store
 from repro.pipeline.artifacts import MemoryStore
 
@@ -58,19 +59,21 @@ class TestDeterminism:
             [r.to_dict() for r in serial]
 
     def test_study_serial_parallel_warm_identical(self, small_store):
-        serial = run_study(small_store)
-        parallel = run_study(small_store, workers=3)
-        warm_checker = PPChecker(
-            lib_policy_source=small_store.lib_policy)
-        run_study(small_store, checker=warm_checker)
-        warm = run_study(small_store, checker=warm_checker)
-        baseline = serial.to_dict()
-        assert parallel.to_dict() == baseline
-        assert warm.to_dict() == baseline
-        assert _report_dicts(parallel.reports) == \
-            _report_dicts(serial.reports)
-        assert _report_dicts(warm.reports) == \
-            _report_dicts(serial.reports)
+        spec = CorpusSpec(n_apps=len(small_store))
+
+        def study(**kwargs):
+            collector = ReportCollector()
+            aggregate = run_study_streaming(spec, sinks=[collector],
+                                            **kwargs)
+            return aggregate.to_dict(), _report_dicts(collector.reports)
+
+        serial = study()
+        parallel = study(workers=3)
+        warm_checker = PPChecker(lib_policy_source=spec.lib_policy)
+        study(checker=warm_checker)
+        warm = study(checker=warm_checker)
+        assert parallel == serial
+        assert warm == serial
 
 
 class TestCacheEffectiveness:
