@@ -5,15 +5,15 @@ surface scored against every policy resource phrase, across hundreds
 of simulated apps that repeat phrases the way a real corpus does --
 three times:
 
-- **no-memo** -- :func:`repro.memo.set_memo_enabled` ``(False)`` and
-  :func:`repro.memo.set_vector_enabled` ``(False)``: the original
-  compute-every-pair scalar code path;
-- **cold** / **warm** -- the scalar plane with memoization on
-  (caches empty / primed): the historical memoized hot path;
-- **vectorized-cold** -- the compiled data plane
+- **no-memo** -- the scalar reference plane
+  (:func:`tests.reference.esa_scalar.scalar_plane`) with the no-memo
+  reference (:func:`tests.reference.nomemo.no_memo`): the original
+  compute-every-pair code path;
+- **cold** / **warm** -- the scalar reference plane with memoization
+  on (caches empty / primed): the historical memoized hot path;
+- **vectorized-cold** -- the product's compiled data plane
   (merge-join vectors, per-tuple group views) with memoization on
-  and caches empty: what a cold study run pays under the default
-  configuration.
+  and caches empty: what a cold study run pays.
 
 Emits ``BENCH_nlp.json`` (schema-versioned) with per-phase wall
 time, pair throughput, and cache counters, and asserts the speedup
@@ -35,12 +35,9 @@ import time
 from repro.core.matching import InfoMatcher
 from repro.corpus.mutations import ALIAS_SWAPS
 from repro.description.permission_map import INFO_SURFACE
-from repro.memo import (
-    cache_stats,
-    clear_caches,
-    set_memo_enabled,
-    set_vector_enabled,
-)
+from repro.memo import cache_stats, clear_caches
+from tests.reference.esa_scalar import scalar_plane
+from tests.reference.nomemo import no_memo
 
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_nlp.json")
@@ -107,21 +104,21 @@ def test_nlp_hotpath(benchmark, store, checker):
     n_pairs = sum(len(surfaces) * len(pool) for pool in pools)
 
     def profile() -> dict:
-        # scalar reference: both the compiled plane and memoization off
-        set_vector_enabled(False)
-        set_memo_enabled(False)
-        clear_caches()
-        nomemo_s, nomemo_hits = sweep(matcher, surfaces, pools)
+        with scalar_plane():
+            # scalar reference: both the compiled plane and
+            # memoization off
+            clear_caches()
+            with no_memo():
+                nomemo_s, nomemo_hits = sweep(matcher, surfaces, pools)
 
-        # the historical memoized hot path, still on the scalar plane
-        set_memo_enabled(True)
-        clear_caches()
-        cold_s, cold_hits = sweep(matcher, surfaces, pools)
-        warm_s, warm_hits = sweep(matcher, surfaces, pools)
+            # the historical memoized hot path, still on the scalar
+            # plane
+            clear_caches()
+            cold_s, cold_hits = sweep(matcher, surfaces, pools)
+            warm_s, warm_hits = sweep(matcher, surfaces, pools)
 
         # the compiled plane from empty caches: what a cold study
-        # run pays under the default configuration
-        set_vector_enabled(True)
+        # run pays
         clear_caches()
         veccold_s, veccold_hits = sweep(matcher, surfaces, pools)
         caches = cache_stats()
@@ -160,8 +157,6 @@ def test_nlp_hotpath(benchmark, store, checker):
     try:
         result = benchmark.pedantic(profile, rounds=3, iterations=1)
     finally:
-        set_memo_enabled(None)
-        set_vector_enabled(None)
         clear_caches()
 
     from repro.core.schema import versioned

@@ -14,6 +14,8 @@ against that model:
 - :mod:`repro.android.packer`       packing / DexHunter-style unpacking
 - :mod:`repro.android.api_db`       sensitive APIs, content-provider
   URIs, URI fields (PScout), sink APIs
+- :mod:`repro.android.graph`        the directed graph the analyses
+  share
 - :mod:`repro.android.callgraph`    method call graph
 - :mod:`repro.android.callbacks`    implicit callback edges (EdgeMiner)
 - :mod:`repro.android.intents`      intent source/target resolution (IccTA)

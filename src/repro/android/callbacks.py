@@ -11,9 +11,8 @@ the listener class's callback method.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 
 #: registration method name -> callback method name on the listener.
 CALLBACK_REGISTRATIONS: dict[str, str] = {
@@ -38,8 +37,6 @@ CALLBACK_REGISTRATIONS: dict[str, str] = {
     "execute": "doInBackground",
 }
 
-EDGE_CALLBACK = "callback"
-
 #: callback method names; these are also treated as UI entry points.
 CALLBACK_METHOD_NAMES: frozenset[str] = frozenset(
     CALLBACK_REGISTRATIONS.values()
@@ -57,7 +54,7 @@ def _listener_classes(method: Method) -> dict[str, str]:
     return classes
 
 
-def add_callback_edges(graph: "nx.DiGraph", dex: DexFile) -> int:
+def add_callback_edges(graph: DiGraph, dex: DexFile) -> int:
     """Add implicit registration->callback edges to the call graph.
 
     Returns the number of edges added.
@@ -79,13 +76,8 @@ def add_callback_edges(graph: "nx.DiGraph", dex: DexFile) -> int:
                 if cls is None or cls.method(callback) is None:
                     continue
                 callback_sig = cls.method(callback).signature
-                if callback_sig not in graph:
-                    graph.add_node(callback_sig, internal=True,
-                                   class_name=listener_class,
-                                   method=callback)
-                if not graph.has_edge(method.signature, callback_sig):
-                    graph.add_edge(method.signature, callback_sig,
-                                   kind=EDGE_CALLBACK)
+                graph.add_node(callback_sig, internal=True)
+                if graph.add_edge(method.signature, callback_sig):
                     added += 1
     return added
 
@@ -93,6 +85,5 @@ def add_callback_edges(graph: "nx.DiGraph", dex: DexFile) -> int:
 __all__ = [
     "CALLBACK_REGISTRATIONS",
     "CALLBACK_METHOD_NAMES",
-    "EDGE_CALLBACK",
     "add_callback_edges",
 ]

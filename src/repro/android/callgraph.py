@@ -8,61 +8,24 @@ sites stay visible in the graph.
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.android.dex import DexFile, Method
-
-EDGE_CALL = "call"
+from repro.android.dex import DexFile
+from repro.android.graph import DiGraph
 
 
-def build_call_graph(dex: DexFile) -> "nx.DiGraph":
-    """The MCG as a networkx DiGraph.
-
-    Node attributes: ``internal`` (bool), ``class_name``, ``method``.
-    Edge attributes: ``kind`` = "call".
-    """
-    graph = nx.DiGraph()
+def build_call_graph(dex: DexFile) -> DiGraph:
+    """The MCG.  Methods with a body in the dex are flagged
+    ``internal``, including callees invoked before their class was
+    added to the dex."""
+    graph = DiGraph()
     for method in dex.all_methods():
-        _ensure_node(graph, method.signature, method)
+        graph.add_node(method.signature, internal=True)
         for ins in method.invocations():
             callee = ins.target
             if callee not in graph:
-                resolved = dex.resolve(callee)
-                _ensure_node(graph, callee, resolved)
-            graph.add_edge(method.signature, callee, kind=EDGE_CALL)
+                graph.add_node(callee,
+                               internal=dex.resolve(callee) is not None)
+            graph.add_edge(method.signature, callee)
     return graph
 
 
-def _ensure_node(graph: "nx.DiGraph", signature: str,
-                 method: Method | None) -> None:
-    if signature in graph:
-        if method is not None and not graph.nodes[signature]["internal"]:
-            graph.nodes[signature].update(
-                internal=True, class_name=method.class_name,
-                method=method.name,
-            )
-        return
-    if method is not None:
-        graph.add_node(signature, internal=True,
-                       class_name=method.class_name, method=method.name)
-    else:
-        class_name = signature.split("->", 1)[0]
-        name = signature.split("->", 1)[1].split("(", 1)[0] \
-            if "->" in signature else signature
-        graph.add_node(signature, internal=False, class_name=class_name,
-                       method=name)
-
-
-def callers_of(graph: "nx.DiGraph", signature: str) -> list[str]:
-    if signature not in graph:
-        return []
-    return sorted(graph.predecessors(signature))
-
-
-def callees_of(graph: "nx.DiGraph", signature: str) -> list[str]:
-    if signature not in graph:
-        return []
-    return sorted(graph.successors(signature))
-
-
-__all__ = ["build_call_graph", "callers_of", "callees_of", "EDGE_CALL"]
+__all__ = ["build_call_graph"]

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.android.dex import DexFile, Method
+from repro.android.graph import DiGraph
 from repro.android.manifest import AndroidManifest
-
-EDGE_ICC = "icc"
 
 _LAUNCH_METHODS: dict[str, str] = {
     "startActivity": "onCreate",
@@ -94,7 +91,7 @@ def resolve_icc_links(dex: DexFile,
     return links
 
 
-def add_icc_edges(graph: "nx.DiGraph", dex: DexFile,
+def add_icc_edges(graph: DiGraph, dex: DexFile,
                   manifest: AndroidManifest) -> int:
     """Add ICC edges source method -> target lifecycle method."""
     added = 0
@@ -105,15 +102,10 @@ def add_icc_edges(graph: "nx.DiGraph", dex: DexFile,
         target = cls.method(link.target_method)
         if target is None:
             continue
-        if target.signature not in graph:
-            graph.add_node(target.signature, internal=True,
-                           class_name=cls.name,
-                           method=link.target_method)
-        if not graph.has_edge(link.source_method, target.signature):
-            graph.add_edge(link.source_method, target.signature,
-                           kind=EDGE_ICC)
+        graph.add_node(target.signature, internal=True)
+        if graph.add_edge(link.source_method, target.signature):
             added += 1
     return added
 
 
-__all__ = ["IccLink", "resolve_icc_links", "add_icc_edges", "EDGE_ICC"]
+__all__ = ["IccLink", "resolve_icc_links", "add_icc_edges"]

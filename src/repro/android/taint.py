@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.android.api_db import QUERY_APIS, SENSITIVE_APIS, SINK_APIS
 from repro.android.dex import DexFile
+from repro.android.graph import DiGraph
 from repro.android.uris import find_uri_accesses
 from repro.semantics.resources import InfoType
 
@@ -63,9 +62,9 @@ def _field(literal: str) -> tuple[str, str]:
     return ("<FIELD>", literal)
 
 
-def build_flow_graph(dex: DexFile) -> "nx.DiGraph":
+def build_flow_graph(dex: DexFile) -> DiGraph:
     """The interprocedural data-flow graph over registers."""
-    flow = nx.DiGraph()
+    flow = DiGraph()
     for method in dex.all_methods():
         sig = method.signature
         for ins in method.instructions:
@@ -160,20 +159,16 @@ def find_taint_paths(dex: DexFile) -> list[TaintPath]:
     paths: list[TaintPath] = []
     seen: set[tuple] = set()
     for seed_node, (source_api, info) in seeds.items():
-        if seed_node not in flow:
-            reachable = {seed_node}
-            parents: dict = {}
-        else:
-            parents = {}
-            reachable = {seed_node}
-            stack = [seed_node]
-            while stack:
-                node = stack.pop()
-                for nxt in flow.successors(node):
-                    if nxt not in reachable:
-                        reachable.add(nxt)
-                        parents[nxt] = node
-                        stack.append(nxt)
+        parents: dict = {}
+        reachable = {seed_node}
+        stack = [seed_node] if seed_node in flow else []
+        while stack:
+            node = stack.pop()
+            for nxt in flow.successors(node):
+                if nxt not in reachable:
+                    reachable.add(nxt)
+                    parents[nxt] = node
+                    stack.append(nxt)
         for node, sink_api, sink_method, kind in sinks:
             if node not in reachable:
                 continue

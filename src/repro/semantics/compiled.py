@@ -1,16 +1,16 @@
 """The compiled ESA knowledge base: packed arrays + binary artifact.
 
-The scalar ESA plane keeps the knowledge base as a dict-of-dicts
-(``term -> {concept_id: weight}``).  This module compiles that
-representation into packed parallel arrays -- a CSR-style layout of
+ESA's knowledge base is a term -> ``{concept_id: weight}`` map.  This
+module compiles it into packed parallel arrays -- a CSR-style layout of
 ``(offsets, concept_ids, weights)`` over a sorted term table -- that
 the merge-join data plane (:mod:`repro.semantics.esa`) walks instead
 of hashing dict keys:
 
 - :func:`compile_kb` builds a :class:`CompiledKB` from the concept
   articles with *bit-identical* TF-IDF floats: same accumulation and
-  normalization order as the historical dict build, so the two planes
-  agree to the last ulp.
+  normalization order as the historical dict build, so the compiled
+  plane agrees with the dict-of-dicts reference plane in the tests to
+  the last ulp.
 - :meth:`CompiledKB.to_bytes` / :meth:`CompiledKB.from_bytes` persist
   the compiled base (plus its inverted layout) as a versioned binary
   artifact: magic, schema version, byte order, CRC-32 checksum, then
@@ -139,26 +139,6 @@ class CompiledKB:
 
     def __post_init__(self) -> None:
         self.term_index = {t: i for i, t in enumerate(self.terms)}
-
-    # -- views -------------------------------------------------------------
-
-    def term_slice(self, term: str) -> tuple[int, int] | None:
-        """The ``(start, end)`` row of *term*, or None if unknown."""
-        tid = self.term_index.get(term)
-        if tid is None:
-            return None
-        return self.offsets[tid], self.offsets[tid + 1]
-
-    def term_vector_dicts(self) -> dict[str, dict[int, float]]:
-        """The dict-of-dicts view the scalar plane runs on.  Keys are
-        in ascending concept-id order (the canonical order both
-        planes sum in)."""
-        out: dict[str, dict[int, float]] = {}
-        for tid, term in enumerate(self.terms):
-            start, end = self.offsets[tid], self.offsets[tid + 1]
-            out[term] = dict(zip(self.cids[start:end],
-                                 self.weights[start:end]))
-        return out
 
     # -- serialization -----------------------------------------------------
 

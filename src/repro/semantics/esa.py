@@ -9,28 +9,23 @@ PPChecker uses ``Similarity(a, b) > threshold`` with ``threshold =
 0.67`` (following AutoCog) to decide whether two information phrases
 refer to the same thing.
 
-Two data planes serve that predicate, both exact and bit-identical:
-
-- the **compiled plane** (default): the knowledge base is compiled
-  into packed parallel arrays (:mod:`repro.semantics.compiled`),
-  interpretation vectors are sorted ``(concept_id, weight)`` arrays,
-  and :func:`_merge_cosine` walks the two sorted arrays instead of
-  hashing dict keys.  The batch entry points
-  (:meth:`EsaModel.match_sets`, :meth:`EsaModel.any_match`,
-  :meth:`EsaModel.similarity_many`, :meth:`EsaModel.group_hits`)
-  interpret every distinct text once per call and drive one inverted
-  concept-index pass per policy, so cold runs -- where the memo LRUs
-  cannot help -- stop paying per-pair re-interpretation.
-- the **scalar plane** (``REPRO_NO_VECTOR=1``): the historical
-  dict-of-dicts representation and nested-loop matchers, kept fully
-  runnable as the differential reference.
+The knowledge base is compiled into packed parallel arrays
+(:mod:`repro.semantics.compiled`), interpretation vectors are sorted
+``(concept_id, weight)`` arrays, and :func:`_merge_cosine` walks two
+sorted arrays instead of hashing dict keys.  The batch entry points
+(:meth:`EsaModel.match_sets`, :meth:`EsaModel.any_match`,
+:meth:`EsaModel.similarity_many`, :meth:`EsaModel.group_hits`)
+interpret every distinct text once per call and drive one inverted
+concept-index pass per policy, so cold runs -- where the memo LRUs
+cannot help -- do not pay per-pair re-interpretation.  Memoization
+(:mod:`repro.memo`) layers on top.
 
 All vectors sum in *ascending concept-id order* (the canonical
-order), which is what makes the two planes agree to the last ulp; the
-differential suite (``tests/integration/test_vector_equivalence.py``)
-proves study output is byte-identical across vectorized, scalar, and
-``REPRO_NO_MEMO=1`` runs.  Memoization (:mod:`repro.memo`) layers on
-top of either plane.
+order).  That is what lets the differential suite
+(``tests/integration/test_vector_equivalence.py``) prove study output
+byte-identical against the historical dict-of-dicts plane with
+nested-loop matchers, which lives on as a test-side reference
+(``tests/reference/esa_scalar.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.memo import MISS, MemoCache, memo_enabled, vector_enabled
+from repro.memo import MISS, MemoCache
 from repro.semantics.compiled import (
     CompiledKB,
     compile_kb,
@@ -57,29 +52,16 @@ def _norm_key(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _cosine(key_a: str, vec_a: dict[int, float],
-            key_b: str, vec_b: dict[int, float]) -> float:
-    """Scalar-plane dot product of two L2-normalized sparse vectors,
-    clamped to [0, 1].  The iteration order is canonical (smaller
-    vector first, ties broken by key; keys ascend within a vector) so
-    the float result is independent of the argument order -- a
-    prerequisite for the symmetric pair cache *and* for agreeing
-    bitwise with :func:`_merge_cosine`."""
-    if (len(vec_b), key_b) < (len(vec_a), key_a):
-        vec_a, vec_b = vec_b, vec_a
-    dot = sum(w * vec_b.get(c, 0.0) for c, w in vec_a.items())
-    return max(0.0, min(1.0, dot))
-
-
 def _merge_cosine(cids_a: list[int], weights_a: list[float],
                   cids_b: list[int], weights_b: list[float]) -> float:
     """Compiled-plane dot product: a two-pointer merge join over two
     ascending ``(concept_id, weight)`` arrays, clamped to [0, 1].
 
     Shared concepts are summed in ascending concept-id order -- the
-    same order :func:`_cosine` sums canonical vectors in (its extra
-    ``w * 0.0`` terms are exact no-ops) -- so the two kernels agree
-    bit-for-bit, and the join is symmetric by construction."""
+    order the reference dict-plane cosine sums canonical vectors in
+    (its extra ``w * 0.0`` terms are exact no-ops) -- so the two
+    kernels agree bit-for-bit, and the join is symmetric by
+    construction."""
     i = j = 0
     len_a = len(cids_a)
     len_b = len(cids_b)
@@ -130,10 +112,6 @@ class EsaModel:
     #: precompiled knowledge base; compiled from ``articles`` when not
     #: supplied (``default_model`` loads it from the binary artifact)
     kb: CompiledKB | None = field(default=None, repr=False)
-    _term_vectors: dict[str, dict[int, float]] = field(
-        default_factory=dict, repr=False
-    )
-    _concepts: list[str] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         # bounded memo caches (see repro.memo); texts repeat massively
@@ -147,10 +125,6 @@ class EsaModel:
                                       max_entries=8192)
         if self.kb is None:
             self.kb = compile_kb(self.articles)
-        self._concepts = list(self.kb.concepts)
-        # the scalar plane's dict-of-dicts view, derived from the same
-        # compiled floats so REPRO_NO_VECTOR=1 stays bit-identical
-        self._term_vectors = self.kb.term_vector_dicts()
 
     def fingerprint(self) -> str:
         """Content hash of the knowledge base + threshold (part of
@@ -170,38 +144,18 @@ class EsaModel:
         return dict(self._interp(text).vec)
 
     def _compute_interpret(self, text: str) -> dict[int, float]:
-        """Centroid of the text's term vectors, canonicalized to
-        ascending concept-id order (accumulation per concept follows
-        term order; the norm sums ascending)."""
+        """Centroid of the text's term vectors: dense per-concept sums
+        driven by the packed KB arrays, in ascending concept-id order
+        (accumulation per concept follows term order; the norm sums
+        ascending), so the floats are bit-identical to the reference
+        dict plane."""
         terms = _terms(text)
         if not terms:
             return {}
-        if vector_enabled():
-            return self._accumulate_compiled(terms)
-        acc: dict[int, float] = {}
-        for term in terms:
-            vec = self._term_vectors.get(term)
-            if vec is None:
-                continue
-            for cidx, weight in vec.items():
-                acc[cidx] = acc.get(cidx, 0.0) + weight
-        if not acc:
-            return {}
-        items = sorted(acc.items())
-        norm = math.sqrt(sum(w * w for _, w in items))
-        if norm == 0.0:
-            return {}
-        return {c: w / norm for c, w in items}
-
-    def _accumulate_compiled(self, terms: list[str]) -> dict[int, float]:
-        """Compiled-plane accumulation: dense per-concept sums driven
-        by the packed KB arrays.  Per-concept addition order (term
-        order) and the ascending-order norm match the dict plane, so
-        the floats are bit-identical."""
         kb = self.kb
         offsets, cids, weights = kb.offsets, kb.cids, kb.weights
         term_index = kb.term_index
-        acc = [0.0] * len(self._concepts)
+        acc = [0.0] * len(kb.concepts)
         touched = False
         for term in terms:
             tid = term_index.get(term)
@@ -231,8 +185,8 @@ class EsaModel:
     def _interp_local(self, text: str,
                       local: dict[str, Interp]) -> Interp:
         """Per-call interpretation dedup: within one batch call every
-        distinct text interprets once even with the memo LRUs
-        disabled (reuse is exact -- same raw text, same normalized
+        distinct text interprets once even when the memo LRU has
+        evicted it (reuse is exact -- same raw text, same normalized
         key, same vector).  Keyed on the raw string so repeats skip
         :func:`_norm_key` entirely."""
         interp = local.get(text)
@@ -247,9 +201,9 @@ class EsaModel:
         list, memoized per distinct tuple: the surface lists and
         policy phrase pools the batch entry points probe with repeat
         across thousands of calls, so a cold study run builds each
-        view once instead of once per call.  With memoization
-        disabled the view rebuilds per call (through the per-call
-        local dedup), which is the same exact computation."""
+        view once instead of once per call.  An evicted view rebuilds
+        through the per-call local dedup, which is the same exact
+        computation."""
         key = tuple(texts)
         view = self._group_cache.get(key)
         if view is MISS:
@@ -265,16 +219,9 @@ class EsaModel:
         cached = self._sim_cache.get(pair)
         if cached is not MISS:
             return cached
-        if vector_enabled():
-            cids_a, weights_a = a.arrays()
-            cids_b, weights_b = b.arrays()
-            sim = _merge_cosine(cids_a, weights_a, cids_b, weights_b)
-        elif memo_enabled() and a.vec.keys().isdisjoint(b.vec.keys()):
-            # shared-concept prune: disjoint sparse supports have an
-            # exactly-zero dot product, so skipping the sum is exact
-            sim = 0.0
-        else:
-            sim = _cosine(a.key, a.vec, b.key, b.vec)
+        cids_a, weights_a = a.arrays()
+        cids_b, weights_b = b.arrays()
+        sim = _merge_cosine(cids_a, weights_a, cids_b, weights_b)
         self._sim_cache.put(pair, sim)
         return sim
 
@@ -296,12 +243,8 @@ class EsaModel:
         *text* once (and each distinct candidate once).  Agrees
         pairwise with :meth:`similarity`."""
         interp = self._interp(text)
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            return [self._pair_sim(interp,
-                                   self._interp_local(c, local))
-                    for c in candidates]
-        return [self._pair_sim(interp, self._interp(c))
+        local: dict[str, Interp] = {}
+        return [self._pair_sim(interp, self._interp_local(c, local))
                 for c in candidates]
 
     def _inverted_index(self, interps: list[Interp],
@@ -327,24 +270,14 @@ class EsaModel:
         """Is any (a, b) pair above the threshold?  Early-exits on the
         first hit; equals ``any(same_thing(a, b) for a for b)``."""
         limit = self.threshold if threshold is None else threshold
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            interps_a, index_a = self._group_view(texts_a, local)
-            for text_b in texts_b:
-                interp_b = self._interp_local(text_b, local)
-                if not interp_b.vec:
-                    continue
-                for i in self._candidates(interp_b, index_a):
-                    if self._pair_sim(interps_a[i], interp_b) > limit:
-                        return True
-            return False
-        interps_b = [self._interp(t) for t in texts_b]
-        for text_a in texts_a:
-            interp_a = self._interp(text_a)
-            if not interp_a.vec:
+        local: dict[str, Interp] = {}
+        interps_a, index_a = self._group_view(texts_a, local)
+        for text_b in texts_b:
+            interp_b = self._interp_local(text_b, local)
+            if not interp_b.vec:
                 continue
-            for interp_b in interps_b:
-                if self._pair_sim(interp_a, interp_b) > limit:
+            for i in self._candidates(interp_b, index_a):
+                if self._pair_sim(interps_a[i], interp_b) > limit:
                     return True
         return False
 
@@ -355,50 +288,29 @@ class EsaModel:
         threshold, ordered by ``(i, j)`` -- the order of the nested
         reference loop, so first-hit call sites stay byte-identical.
 
-        On the compiled plane (and on the scalar plane with
-        memoization enabled), candidates are pruned through a
-        shared-concept inverted index: a pair whose vectors share no
-        concept has cosine exactly 0 and is never scored.  The
-        pruning is exact for any ``threshold >= 0``.  The compiled
-        plane indexes *texts_a* (the repeated side -- memoized per
-        distinct tuple) and walks *texts_b*; hits sort back into the
-        reference ``(i, j)`` order, and each pair's similarity is the
-        canonical :func:`_merge_cosine` value, so the output is
-        byte-identical regardless of the scan direction.
+        Candidates are pruned through a shared-concept inverted index:
+        a pair whose vectors share no concept has cosine exactly 0 and
+        is never scored.  The pruning is exact for any ``threshold >=
+        0``.  The index covers *texts_a* (the repeated side --
+        memoized per distinct tuple) and the scan walks *texts_b*;
+        hits sort back into the reference ``(i, j)`` order, and each
+        pair's similarity is the canonical :func:`_merge_cosine`
+        value, so the output is byte-identical regardless of the scan
+        direction.
         """
         limit = self.threshold if threshold is None else threshold
-        if vector_enabled():
-            local: dict[str, Interp] = {}
-            interps_a, index_a = self._group_view(texts_a, local)
-            out: list[tuple[int, int, float]] = []
-            for j, text_b in enumerate(texts_b):
-                interp_b = self._interp_local(text_b, local)
-                if not interp_b.vec:
-                    continue
-                for i in self._candidates(interp_b, index_a):
-                    sim = self._pair_sim(interps_a[i], interp_b)
-                    if sim > limit:
-                        out.append((i, j, sim))
-            out.sort(key=lambda hit: (hit[0], hit[1]))
-            return out
-        out = []
-        if not memo_enabled():
-            for i, text_a in enumerate(texts_a):
-                for j, text_b in enumerate(texts_b):
-                    sim = self.similarity(text_a, text_b)
-                    if sim > limit:
-                        out.append((i, j, sim))
-            return out
-        interps_b = [self._interp(t) for t in texts_b]
-        index = self._inverted_index(interps_b)
-        for i, text_a in enumerate(texts_a):
-            interp_a = self._interp(text_a)
-            if not interp_a.vec:
+        local: dict[str, Interp] = {}
+        interps_a, index_a = self._group_view(texts_a, local)
+        out: list[tuple[int, int, float]] = []
+        for j, text_b in enumerate(texts_b):
+            interp_b = self._interp_local(text_b, local)
+            if not interp_b.vec:
                 continue
-            for j in self._candidates(interp_a, index):
-                sim = self._pair_sim(interp_a, interps_b[j])
+            for i in self._candidates(interp_b, index_a):
+                sim = self._pair_sim(interps_a[i], interp_b)
                 if sim > limit:
                     out.append((i, j, sim))
+        out.sort(key=lambda hit: (hit[0], hit[1]))
         return out
 
     def group_hits(self, groups: list[list[str]], texts_b: list[str],
@@ -414,22 +326,11 @@ class EsaModel:
         if any_match(group, [b])}``.
         """
         limit = self.threshold if threshold is None else threshold
-        if not vector_enabled():
-            out: list[set[int]] = []
-            for group in groups:
-                hits: set[int] = set()
-                for j, text_b in enumerate(texts_b):
-                    for text_a in group:
-                        if self.similarity(text_a, text_b) > limit:
-                            hits.add(j)
-                            break
-                out.append(hits)
-            return out
         local: dict[str, Interp] = {}
         interps_b, index_b = self._group_view(texts_b, local)
-        out = []
+        out: list[set[int]] = []
         for group in groups:
-            hits = set()
+            hits: set[int] = set()
             for text_a in group:
                 interp_a = self._interp_local(text_a, local)
                 if not interp_a.vec:
@@ -453,7 +354,7 @@ class EsaModel:
         """The k concepts with the highest interpretation weight."""
         vec = self.interpret(text)
         ranked = sorted(vec.items(), key=lambda cw: -cw[1])[:k]
-        return [(self._concepts[c], w) for c, w in ranked]
+        return [(self.kb.concepts[c], w) for c, w in ranked]
 
 
 _DEFAULT: EsaModel | None = None

@@ -481,7 +481,17 @@ class _FrontHandler(BaseHTTPRequestHandler):
             self._send_error_json(411, "length_required",
                                   "Content-Length is required")
             return None
-        length = int(length)
+        try:
+            length = int(length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            self.close_connection = True
+            self._send_error_json(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer")
+            return None
         if length > self.front.config.max_body_bytes:
             self.close_connection = True
             self._send_error_json(

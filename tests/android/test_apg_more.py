@@ -44,7 +44,7 @@ class TestNodePromotion:
         add_activity(apk, instructions=[invoke(f"{PKG}.Late->run()")])
         add_class(apk, f"{PKG}.Late", [("run", (), [])])
         graph = build_call_graph(apk.dex)
-        assert graph.nodes[f"{PKG}.Late->run()"]["internal"]
+        assert graph.is_internal(f"{PKG}.Late->run()")
 
     def test_truly_external_stays_external(self):
         apk = empty_apk()
@@ -52,7 +52,7 @@ class TestNodePromotion:
             invoke("android.util.Log->i(tag,msg)"),
         ])
         graph = build_call_graph(apk.dex)
-        assert not graph.nodes["android.util.Log->i(tag,msg)"]["internal"]
+        assert not graph.is_internal("android.util.Log->i(tag,msg)")
 
 
 class TestMethodLookup:

@@ -2,7 +2,7 @@
 
 from repro.android.apg import build_apg
 from repro.android.callbacks import add_callback_edges
-from repro.android.callgraph import build_call_graph, callees_of, callers_of
+from repro.android.callgraph import build_call_graph
 from repro.android.dex import DexClass, Instruction, Method
 from repro.android.intents import resolve_icc_links
 from repro.android.manifest import Component
@@ -22,8 +22,8 @@ class TestCallGraph:
         add_activity(apk, instructions=[invoke(f"{PKG}.Helper->run()")])
         add_class(apk, f"{PKG}.Helper", [("run", (), [])])
         graph = build_call_graph(apk.dex)
-        assert f"{PKG}.Helper->run()" in callees_of(
-            graph, f"{PKG}.MainActivity->onCreate(bundle)"
+        assert f"{PKG}.Helper->run()" in graph.successors(
+            f"{PKG}.MainActivity->onCreate(bundle)"
         )
 
     def test_external_node_marked(self):
@@ -32,22 +32,24 @@ class TestCallGraph:
             invoke("android.util.Log->i(tag,msg)")
         ])
         graph = build_call_graph(apk.dex)
-        assert not graph.nodes["android.util.Log->i(tag,msg)"]["internal"]
+        assert not graph.is_internal("android.util.Log->i(tag,msg)")
 
     def test_callers_of(self):
         apk = empty_apk()
         add_activity(apk, instructions=[invoke(f"{PKG}.H->run()")])
         add_class(apk, f"{PKG}.H", [("run", (), [])])
         graph = build_call_graph(apk.dex)
-        assert callers_of(graph, f"{PKG}.H->run()") == [
+        assert list(graph.predecessors(f"{PKG}.H->run()")) == [
             f"{PKG}.MainActivity->onCreate(bundle)"
         ]
 
     def test_unknown_node_queries_empty(self):
         apk = empty_apk()
-        graph = build_call_graph(apk.dex)
-        assert callers_of(graph, "x.Y->z()") == []
-        assert callees_of(graph, "x.Y->z()") == []
+        add_activity(apk)
+        apg = build_apg(apk)
+        assert "x.Y->z()" not in apg.graph
+        assert apg.methods_calling("x.Y->z()") == []
+        assert apg.call_sites_of("x.Y->z()") == []
 
 
 class TestCallbacks:
@@ -70,20 +72,18 @@ class TestCallbacks:
         graph = build_call_graph(apk.dex)
         added = add_callback_edges(graph, apk.dex)
         assert added == 1
-        assert graph.has_edge(
-            f"{PKG}.MainActivity->onCreate(bundle)",
-            f"{PKG}.Listener->onClick(view)",
+        assert f"{PKG}.Listener->onClick(view)" in graph.successors(
+            f"{PKG}.MainActivity->onCreate(bundle)"
         )
 
-    def test_edge_kind(self):
+    def test_edge_added_once(self):
         apk = self._apk_with_listener()
         graph = build_call_graph(apk.dex)
         add_callback_edges(graph, apk.dex)
-        data = graph.get_edge_data(
-            f"{PKG}.MainActivity->onCreate(bundle)",
-            f"{PKG}.Listener->onClick(view)",
-        )
-        assert data["kind"] == "callback"
+        assert add_callback_edges(graph, apk.dex) == 0
+        assert list(graph.predecessors(
+            f"{PKG}.Listener->onClick(view)"
+        )) == [f"{PKG}.MainActivity->onCreate(bundle)"]
 
     def test_no_registration_no_edge(self):
         apk = empty_apk()

@@ -196,7 +196,7 @@ class TestTaint:
         ])
         flow = build_flow_graph(apk.dex)
         sig = f"{PKG}.MainActivity->onCreate(bundle)"
-        assert flow.has_edge((sig, "v0"), (sig, "v1"))
+        assert list(flow.successors((sig, "v0"))) == [(sig, "v1")]
 
     def test_path_hops_reported(self):
         apk = empty_apk()
@@ -209,3 +209,61 @@ class TestTaint:
         assert path.hops
         assert "describe" not in path.describe() or True
         assert "location" in path.describe()
+
+
+class TestDiamondFlow:
+    """Two routes from one source to one sink: through a helper's
+    parameter and return, and through a field store/load.  The corpus
+    never builds such an app, so this pins the order-sensitive parts
+    of the graphs exactly: which route the DFS reports as ``hops``
+    (successors in insertion order) and the order of the external
+    targets (node insertion order, callers sorted)."""
+
+    FIELD = f"<{PKG}.MainActivity: double lat>"
+    MAIN = f"{PKG}.MainActivity->onCreate(bundle)"
+    HELPER = f"{PKG}.Helper->wrap(p)"
+    AUDIT = f"{PKG}.Audit->log()"
+    CLOCK = "android.os.SystemClock->uptimeMillis()"
+
+    def _apk(self):
+        from repro.android.dex import Instruction
+        apk = empty_apk()
+        add_activity(apk, instructions=[
+            invoke(LOCATION_API, dest="v0"),
+            Instruction(op="move", dest="v1", args=("v0",)),
+            Instruction(op="move", dest="v2", args=("v0",)),
+            invoke(self.HELPER, dest="v3", args=("v1",)),
+            Instruction(op="iput", args=("v2",), literal=self.FIELD),
+            Instruction(op="iget", dest="v3", literal=self.FIELD),
+            const_string("v4", "TAG"),
+            invoke(LOG_SINK, args=("v4", "v3")),
+        ])
+        add_class(apk, f"{PKG}.Helper", [("wrap", ("p",), [
+            invoke(self.CLOCK),
+            Instruction(op="return", args=("p",)),
+        ])])
+        add_class(apk, f"{PKG}.Audit", [("log", (), [
+            const_string("v0", "TAG"),
+            const_string("v1", "start"),
+            invoke(LOG_SINK, args=("v0", "v1")),
+        ])])
+        return apk
+
+    def test_dfs_picks_the_field_route(self):
+        paths = find_taint_paths(self._apk().dex)
+        assert len(paths) == 1
+        assert paths[0].hops == (
+            f"{self.MAIN}::v0",
+            f"{self.MAIN}::v2",
+            f"<FIELD>::{self.FIELD}",
+            f"{self.MAIN}::v3",
+        )
+
+    def test_external_invocations_order(self):
+        from repro.android.apg import build_apg
+        externals = build_apg(self._apk()).external_invocations()
+        assert list(externals.items()) == [
+            (LOCATION_API, [self.MAIN]),
+            (LOG_SINK, [self.AUDIT, self.MAIN]),
+            (self.CLOCK, [self.HELPER]),
+        ]

@@ -4,16 +4,18 @@ The ESA/NLP memoization layer (:mod:`repro.memo`) promises that every
 fast path -- interpretation/similarity LRUs, shared-concept pruning,
 the parse cache, the batch matchers -- is *exact*.  These tests prove
 it the strong way: the JSON the user sees is byte-identical with the
-caches on and with ``REPRO_NO_MEMO=1``.
+caches on and with the no-memo reference installed
+(:func:`tests.reference.nomemo.no_memo`, a ``MemoCache`` that never
+remembers anything).
 
 Covered surfaces:
 
-- the study over the seeded 64-app corpus slice (in-process,
-  toggled via :func:`repro.memo.set_memo_enabled`);
+- the study over the seeded 64-app corpus slice (in-process);
 - ``python -m repro.cli check BUNDLE --json`` as a real subprocess,
-  with and without ``REPRO_NO_MEMO=1`` in the environment, over
+  against the same command started through
+  :mod:`tests.reference.bootstrap` with the no-memo reference, over
   corpus bundles exhibiting each problem type;
-- the ``quickstart.py`` example's stdout.
+- the ``quickstart.py`` example's stdout, the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.core.checker import PPChecker
 from repro.core.schema import versioned
 from repro.core.study import run_study_streaming
 from repro.corpus.appstore import CorpusSpec
-from repro.memo import NO_MEMO_ENV, clear_caches, set_memo_enabled
+from repro.memo import clear_caches
+from tests.reference.nomemo import no_memo
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -38,26 +41,33 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 
 @pytest.fixture
-def memo_toggle():
-    """Restore the environment-controlled memo state afterwards."""
-    yield set_memo_enabled
-    set_memo_enabled(None)
+def fresh_caches():
+    """Empty every memo cache afterwards."""
+    yield
     clear_caches()
 
 
-def subprocess_env(no_memo: bool) -> dict[str, str]:
+def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = "0"
-    env.pop(NO_MEMO_ENV, None)
-    if no_memo:
-        env[NO_MEMO_ENV] = "1"
     return env
 
 
+def program_argv(program: list[str], plane: str | None) -> list[str]:
+    """The command running *program* -- ``["repro.cli", ARGS...]`` or
+    ``[SCRIPT, ARGS...]`` -- as is when *plane* is None, else through
+    :mod:`tests.reference.bootstrap` on that reference plane."""
+    if plane is not None:
+        return [sys.executable, "-m", "tests.reference.bootstrap",
+                plane, *program]
+    if program[0] == "repro.cli":
+        return [sys.executable, "-m", *program]
+    return [sys.executable, *program]
+
+
 class TestStudyEquivalence:
-    def run_study_json(self, store, enabled: bool) -> str:
-        set_memo_enabled(enabled)
+    def run_study_json(self, store) -> str:
         clear_caches()
         checker = PPChecker(lib_policy_source=store.lib_policy)
         result = run_study_streaming(
@@ -65,9 +75,10 @@ class TestStudyEquivalence:
             checker=checker)
         return json.dumps(versioned(result.to_dict()), sort_keys=True)
 
-    def test_study_byte_identical(self, small_store, memo_toggle):
-        memoized = self.run_study_json(small_store, enabled=True)
-        plain = self.run_study_json(small_store, enabled=False)
+    def test_study_byte_identical(self, small_store, fresh_caches):
+        memoized = self.run_study_json(small_store)
+        with no_memo():
+            plain = self.run_study_json(small_store)
         assert memoized == plain
 
 
@@ -99,12 +110,12 @@ def problem_bundle_paths(store, tmp_path) -> list[str]:
 
 
 class TestCliCheckEquivalence:
-    def check_json(self, bundle_path: str, no_memo: bool) -> bytes:
+    def check_json(self, bundle_path: str, plane: str | None) -> bytes:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", bundle_path,
-             "--json"],
+            program_argv(["repro.cli", "check", bundle_path, "--json"],
+                         plane),
             capture_output=True, cwd=REPO_ROOT,
-            env=subprocess_env(no_memo), timeout=300,
+            env=subprocess_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
@@ -113,22 +124,24 @@ class TestCliCheckEquivalence:
         paths = problem_bundle_paths(mid_store, tmp_path)
         assert len(paths) == 4
         for path in paths:
-            memoized = self.check_json(path, no_memo=False)
-            plain = self.check_json(path, no_memo=True)
+            memoized = self.check_json(path, plane=None)
+            plain = self.check_json(path, plane="nomemo")
             assert memoized == plain, path
             payload = json.loads(memoized)
             assert payload["schema_version"] == 1
 
 
 class TestExampleEquivalence:
-    def quickstart_out(self, no_memo: bool) -> bytes:
+    def quickstart_out(self, plane: str | None) -> bytes:
         proc = subprocess.run(
-            [sys.executable, os.path.join("examples", "quickstart.py")],
+            program_argv([os.path.join("examples", "quickstart.py")],
+                         plane),
             capture_output=True, cwd=REPO_ROOT,
-            env=subprocess_env(no_memo), timeout=300,
+            env=subprocess_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
     def test_quickstart_byte_identical(self):
-        assert self.quickstart_out(False) == self.quickstart_out(True)
+        assert self.quickstart_out(None) \
+            == self.quickstart_out("nomemo")

@@ -4,17 +4,19 @@ The vectorized ESA representation (:mod:`repro.semantics.compiled`
 plus the merge-join/batched matchers in :mod:`repro.semantics.esa`)
 promises bitwise exactness, orthogonally to the memoization layer.
 These tests prove it the strong way over the real pipeline: the JSON
-the user sees is byte-identical across every combination of
-``REPRO_NO_VECTOR`` and ``REPRO_NO_MEMO``.
+the user sees is byte-identical to the scalar reference plane
+(:mod:`tests.reference.esa_scalar`), with and without the no-memo
+reference (:mod:`tests.reference.nomemo`).
 
 Covered surfaces:
 
-- the study over the seeded 64-app slice across all four
-  vector x memo combinations (in-process toggles);
-- the study over the complete 1,197-app corpus, vectorized vs.
+- the study over the seeded 64-app slice across all four planes,
+  compiled or scalar x memo or no memo (in-process);
+- the study over the complete 1,197-app corpus, compiled vs.
   scalar vs. scalar-no-memo (the ``slow`` lane);
 - ``python -m repro.cli check BUNDLE --json`` as a real subprocess
-  with ``REPRO_NO_VECTOR=1`` in the environment, over bundles
+  against the same command started through
+  :mod:`tests.reference.bootstrap` on the scalar plane, over bundles
   exhibiting each problem type.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import sys
+from contextlib import ExitStack
 
 import pytest
 
@@ -31,17 +33,14 @@ from repro.core.checker import PPChecker
 from repro.core.schema import versioned
 from repro.core.study import run_study_streaming
 from repro.corpus.appstore import CorpusSpec
-from repro.memo import (
-    NO_MEMO_ENV,
-    NO_VECTOR_ENV,
-    clear_caches,
-    set_memo_enabled,
-    set_vector_enabled,
-)
+from repro.memo import clear_caches
 from tests.integration.test_hotpath_equivalence import (
     problem_bundle_paths,
+    program_argv,
     subprocess_env,
 )
+from tests.reference.esa_scalar import scalar_plane
+from tests.reference.nomemo import no_memo
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -49,20 +48,24 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 @pytest.fixture
 def plane_toggle():
-    """Restore the environment-controlled plane + memo state."""
+    """Empty every memo cache afterwards."""
     yield
-    set_vector_enabled(None)
-    set_memo_enabled(None)
     clear_caches()
 
 
 def study_json(store, vector: bool, memo: bool) -> str:
-    set_vector_enabled(vector)
-    set_memo_enabled(memo)
+    """The study on the compiled (``vector``) or scalar plane, with
+    the memo caches or the no-memo reference."""
     clear_caches()
-    checker = PPChecker(lib_policy_source=store.lib_policy)
-    result = run_study_streaming(
-        CorpusSpec(seed=store.seed, n_apps=len(store)), checker=checker)
+    with ExitStack() as planes:
+        if not vector:
+            planes.enter_context(scalar_plane())
+        if not memo:
+            planes.enter_context(no_memo())
+        checker = PPChecker(lib_policy_source=store.lib_policy)
+        result = run_study_streaming(
+            CorpusSpec(seed=store.seed, n_apps=len(store)),
+            checker=checker)
     return json.dumps(versioned(result.to_dict()), sort_keys=True)
 
 
@@ -84,21 +87,13 @@ class TestStudyEquivalence:
         assert vectorized == plain
 
 
-def vector_subprocess_env(no_vector: bool) -> dict[str, str]:
-    env = subprocess_env(no_memo=False)
-    env.pop(NO_VECTOR_ENV, None)
-    if no_vector:
-        env[NO_VECTOR_ENV] = "1"
-    return env
-
-
 class TestCliCheckEquivalence:
-    def check_json(self, bundle_path: str, no_vector: bool) -> bytes:
+    def check_json(self, bundle_path: str, plane: str | None) -> bytes:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", bundle_path,
-             "--json"],
+            program_argv(["repro.cli", "check", bundle_path, "--json"],
+                         plane),
             capture_output=True, cwd=REPO_ROOT,
-            env=vector_subprocess_env(no_vector), timeout=300,
+            env=subprocess_env(), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
@@ -107,21 +102,14 @@ class TestCliCheckEquivalence:
         paths = problem_bundle_paths(mid_store, tmp_path)
         assert len(paths) == 4
         for path in paths:
-            vectorized = self.check_json(path, no_vector=False)
-            scalar = self.check_json(path, no_vector=True)
+            vectorized = self.check_json(path, plane=None)
+            scalar = self.check_json(path, plane="scalar")
             assert vectorized == scalar, path
             assert json.loads(vectorized)["schema_version"] == 1
 
     def test_both_escape_hatches_compose(self, mid_store, tmp_path):
-        """``REPRO_NO_VECTOR=1 REPRO_NO_MEMO=1`` together equals the
-        default configuration byte-for-byte."""
+        """The scalar plane and the no-memo reference installed
+        together equal the product byte-for-byte."""
         path = problem_bundle_paths(mid_store, tmp_path)[0]
-        env = vector_subprocess_env(no_vector=True)
-        env[NO_MEMO_ENV] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", path,
-             "--json"],
-            capture_output=True, cwd=REPO_ROOT, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == self.check_json(path, no_vector=False)
+        assert self.check_json(path, plane="scalar+nomemo") \
+            == self.check_json(path, plane=None)

@@ -2,15 +2,20 @@
 
 The optimization layer promises exactness, not approximation: the
 memoized ``similarity`` must agree with the compute-everything path
-to the last ulp, stay symmetric, and the batch entry points
-(``similarity_many``, ``match_sets``) must agree pairwise with the
-scalar predicate.  Phrases are drawn from the corpus vocabulary --
-information surfaces, :data:`ALIAS_SWAPS` paraphrases, and policy
-resource wording -- because that is what the detectors actually
-score.
+(the no-memo reference) to the last ulp, stay symmetric, and the
+batch entry points (``similarity_many``, ``match_sets``,
+``any_match``, ``group_hits``) must agree pairwise with the scalar
+predicate on all four planes -- compiled or the scalar reference
+(:mod:`tests.reference.esa_scalar`), memo or no memo.  Phrases are
+drawn from the corpus vocabulary -- information surfaces,
+:data:`ALIAS_SWAPS` paraphrases, and policy resource wording --
+because that is what the detectors actually score.
 """
 
 from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +23,10 @@ from hypothesis import strategies as st
 
 from repro.corpus.mutations import ALIAS_SWAPS
 from repro.description.permission_map import INFO_SURFACE
-from repro.memo import (
-    clear_caches,
-    set_memo_enabled,
-    set_vector_enabled,
-)
+from repro.memo import clear_caches
 from repro.semantics.esa import default_model
+from tests.reference.esa_scalar import scalar_plane
+from tests.reference.nomemo import no_memo
 
 #: every (vector, memo) plane combination; all four must agree bitwise
 _PLANES = ((True, True), (True, False), (False, True), (False, False))
@@ -40,15 +43,25 @@ _POOL = sorted(
     }
 )
 
+@contextmanager
+def plane(vector: bool, memoized: bool) -> Iterator[None]:
+    """Run the body on one plane, from empty caches."""
+    clear_caches()
+    with ExitStack() as planes:
+        if not vector:
+            planes.enter_context(scalar_plane())
+        if not memoized:
+            planes.enter_context(no_memo())
+        yield
+
+
 _PHRASES = st.sampled_from(_POOL)
 _PHRASE_LISTS = st.lists(_PHRASES, min_size=0, max_size=6)
 
 
 @pytest.fixture(autouse=True)
-def restore_memo_state():
+def fresh_caches():
     yield
-    set_memo_enabled(None)
-    set_vector_enabled(None)
     clear_caches()
 
 
@@ -57,11 +70,10 @@ class TestMemoExactness:
     @settings(max_examples=150, deadline=None)
     def test_memoized_equals_unmemoized(self, a, b):
         esa = default_model()
-        set_memo_enabled(True)
         clear_caches()
         memoized = esa.similarity(a, b)
-        set_memo_enabled(False)
-        plain = esa.similarity(a, b)
+        with no_memo():
+            plain = esa.similarity(a, b)
         assert abs(memoized - plain) <= 1e-9
         # the canonical cosine makes the agreement exact, not approximate
         assert memoized == plain
@@ -71,9 +83,8 @@ class TestMemoExactness:
     def test_symmetry_exact(self, a, b):
         esa = default_model()
         for enabled in (True, False):
-            set_memo_enabled(enabled)
-            clear_caches()
-            assert esa.similarity(a, b) == esa.similarity(b, a)
+            with plane(vector=True, memoized=enabled):
+                assert esa.similarity(a, b) == esa.similarity(b, a)
 
     @given(_PHRASES, _PHRASES)
     @settings(max_examples=150, deadline=None)
@@ -83,10 +94,8 @@ class TestMemoExactness:
         esa = default_model()
         values = set()
         for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            values.add(esa.similarity(a, b))
+            with plane(vector, memoized):
+                values.add(esa.similarity(a, b))
         assert len(values) == 1
 
 
@@ -109,11 +118,9 @@ class TestBatchAgreement:
             if esa.similarity(a, b) > esa.threshold
         ]
         for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.match_sets(texts_a, texts_b) == reference, \
-                (vector, memoized)
+            with plane(vector, memoized):
+                assert esa.match_sets(texts_a, texts_b) == reference, \
+                    (vector, memoized)
 
     @given(_PHRASE_LISTS, _PHRASE_LISTS)
     @settings(max_examples=100, deadline=None)
@@ -123,11 +130,9 @@ class TestBatchAgreement:
             esa.same_thing(a, b) for a in texts_a for b in texts_b
         )
         for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.any_match(texts_a, texts_b) == reference, \
-                (vector, memoized)
+            with plane(vector, memoized):
+                assert esa.any_match(texts_a, texts_b) == reference, \
+                    (vector, memoized)
 
     @given(st.lists(_PHRASE_LISTS, min_size=0, max_size=4),
            _PHRASE_LISTS)
@@ -142,8 +147,6 @@ class TestBatchAgreement:
             for group in groups
         ]
         for vector, memoized in _PLANES:
-            set_vector_enabled(vector)
-            set_memo_enabled(memoized)
-            clear_caches()
-            assert esa.group_hits(groups, texts_b) == reference, \
-                (vector, memoized)
+            with plane(vector, memoized):
+                assert esa.group_hits(groups, texts_b) == reference, \
+                    (vector, memoized)

@@ -1,13 +1,14 @@
 """Property tests for the compiled (merge-join) ESA data plane.
 
 The vectorized representation promises *bitwise* agreement with the
-historical dict-of-dicts plane, not approximate agreement.  Two
+historical dict-of-dicts plane (now the test-side reference in
+:mod:`tests.reference.esa_scalar`), not approximate agreement.  Two
 families of properties pin that down:
 
 - kernel equivalence: :func:`repro.semantics.esa._merge_cosine` over
-  sorted ``(concept_id, weight)`` arrays equals the scalar
-  :func:`repro.semantics.esa._cosine` over the same canonical sparse
-  dicts with ``==`` on the floats -- including empty, disjoint,
+  sorted ``(concept_id, weight)`` arrays equals the scalar reference
+  :func:`tests.reference.esa_scalar._cosine` over the same canonical
+  sparse dicts with ``==`` on the floats -- including empty, disjoint,
   single-concept, and duplicate-weight vectors -- and is symmetric in
   its arguments;
 - compiled-KB round-trip: ``compile -> to_bytes -> from_bytes``
@@ -22,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.semantics.compiled import CompiledKB, compile_kb
-from repro.semantics.esa import _cosine, _merge_cosine
+from repro.semantics.esa import _merge_cosine
 from repro.semantics.knowledge import CONCEPT_ARTICLES
+from tests.reference.esa_scalar import _cosine, term_vector_dicts
 
 _WEIGHTS = st.floats(min_value=0.0, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
@@ -93,7 +95,7 @@ def _assert_kb_equal(left: CompiledKB, right: CompiledKB) -> None:
     assert left.weights.tobytes() == right.weights.tobytes()
     assert left.articles_fp == right.articles_fp
     assert left.term_index == right.term_index
-    assert left.term_vector_dicts() == right.term_vector_dicts()
+    assert term_vector_dicts(left) == term_vector_dicts(right)
 
 
 class TestCompiledKBRoundTrip:

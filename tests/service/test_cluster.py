@@ -26,7 +26,7 @@ import pytest
 from repro.service import ServiceClient
 from repro.service.cluster import ClusterConfig, start_cluster
 
-from tests.service.test_service import make_doc
+from tests.service.test_service import make_doc, raw_post
 
 
 def wait_cluster_up(client: ServiceClient, shards: int,
@@ -125,6 +125,12 @@ class TestClusterBasics:
         assert payload == {"schema_version":
                            payload["schema_version"],
                            "deadletters": [], "count": 0}
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400(self, client, length):
+        status, payload = raw_post(client.port, length)
+        assert status == 400
+        assert payload["error"]["kind"] == "bad_request"
 
     def test_front_metrics_expose_cluster_gauges(self, client):
         text = client.metrics_text()

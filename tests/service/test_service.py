@@ -7,6 +7,8 @@ the same path ``ppchecker serve`` traffic takes.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -43,6 +45,28 @@ def make_doc(package=PKG, policy="We collect your email.",
     bundle = AppBundle(package=package, apk=apk, policy=policy,
                        description=description)
     return bundle_to_dict(bundle)
+
+
+def raw_post(port: int, content_length: str,
+             timeout: float = 5.0) -> tuple[int, dict]:
+    """POST ``/v1/check`` over a raw socket with a hand-written
+    ``Content-Length`` header (``http.client`` would refuse a bad
+    one); read until the server closes.  Returns (status, JSON body).
+    A server that never answers fails the caller with a timeout."""
+    request = (
+        "POST /v1/check HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    data = b""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head, "connection closed without a response"
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture()
@@ -127,6 +151,12 @@ class TestHTTPBasics:
         assert response.status == 400
         response.read()
         conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400(self, handle, length):
+        status, payload = raw_post(handle.port, length)
+        assert status == 400
+        assert payload["error"]["kind"] == "bad_request"
 
     def test_invalid_bundle_400(self, client):
         status, _, payload = client.request("POST", "/v1/check",
