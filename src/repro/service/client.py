@@ -8,10 +8,10 @@ opens its own :class:`http.client.HTTPConnection`.
 
 from __future__ import annotations
 
-import json
 import time
-from http.client import HTTPConnection
 from typing import Any
+
+from repro.service.httpcore import request_json
 
 
 class ServiceError(RuntimeError):
@@ -75,26 +75,8 @@ class ServiceClient:
                 ) -> tuple[int, dict[str, str], Any]:
         """One round-trip; returns ``(status, headers, payload)``
         with the payload JSON-decoded when the response is JSON."""
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            body = None
-            headers = {}
-            if doc is not None:
-                body = json.dumps(doc).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            response_headers = dict(response.getheaders())
-            content_type = response_headers.get("Content-Type", "")
-            if content_type.startswith("application/json"):
-                payload = json.loads(raw) if raw else None
-            else:
-                payload = raw.decode("utf-8", "replace")
-            return response.status, response_headers, payload
-        finally:
-            conn.close()
+        return request_json(self.host, self.port, method, path, doc,
+                            timeout=self.timeout)
 
     def _raise_for(self, status: int, headers: dict[str, str],
                    payload: Any) -> None:

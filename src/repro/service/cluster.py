@@ -20,6 +20,10 @@ and dead-letter queue.  The front:
   and ``/v1/deadletter`` across the cluster, and exposes its own
   ``/metrics`` (routing counters, shard liveness, restarts).
 
+The HTTP plumbing -- handler base, listener, JSON transport to the
+shards -- is the core in :mod:`repro.service.httpcore`, shared with
+the single-process service.
+
 Shards share one artifact database
 (:class:`~repro.pipeline.artifacts.SharedDiskStore`, ``--store
 sqlite``) when ``--cache-dir`` is set, so a cache hit in one worker
@@ -28,7 +32,6 @@ process is a hit in all.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import re
@@ -39,8 +42,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import HTTPException
 from typing import Any
 
 from repro import __version__
@@ -50,17 +52,21 @@ from repro.pipeline.resilience import Deadline, RetryBudget
 from repro.service.breaker import CLOSED, CircuitBreaker, LatencyTracker
 from repro.service.hashring import HashRing, shard_name
 from repro.service.metrics import CallbackGaugeFamily, MetricsRegistry
-from repro.service.runner import shed_error
-from repro.service.server import (
+from repro.service.httpcore import (
+    _JOB_PATH,
     DEADLINE_FIELD,
     DEADLINE_HEADER,
+    METRICS_CONTENT_TYPE,
     InvalidDeadline,
-    _write_port_file,
-    parse_deadline_seconds,
+    JSONHandler,
+    Listener,
+    batch_summary,
     read_port_file,
+    request_json,
+    wait_for_signal,
 )
+from repro.service.runner import shed_error
 
-_JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
 _SHARD_ID = re.compile(r"^s(\d+)-(.+)$")
 
 
@@ -92,7 +98,6 @@ class ClusterConfig:
     stage_timeout: float | None = None
     request_timeout: float = 300.0
     drain_timeout: float = 10.0
-    max_body_bytes: int = 32 * 1024 * 1024
     max_redeliveries: int = 3
     #: completed-job LRU capacity *per shard* (the cluster resolves
     #: ``shards`` times this many in aggregate)
@@ -430,82 +435,12 @@ def _routing_key(doc: Any) -> str:
     return fingerprint(doc)
 
 
-class _FrontHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _FrontHandler(JSONHandler):
     server_version = f"ppchecker-front/{__version__}"
-
-    def version_string(self) -> str:
-        return self.server_version
-
-    # -- plumbing ----------------------------------------------------------
 
     @property
     def front(self) -> "ClusterFront":
-        return self.server.front  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    def _endpoint(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if _JOB_PATH.match(path):
-            return "/v1/jobs/{id}"
-        if path in ("/healthz", "/metrics", "/v1/check", "/v1/jobs",
-                    "/v1/batch", "/v1/deadletter"):
-            return path
-        return "other"
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.front.metrics.requests.inc(
-            endpoint=self._endpoint(), status=str(status))
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, kind: str, message: str,
-                         headers: dict[str, str] | None = None,
-                         **extra: Any) -> None:
-        self._send_json(status, versioned(
-            {"error": {"kind": kind, "message": message, **extra}}
-        ), headers)
-
-    def _read_json(self) -> Any:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send_error_json(411, "length_required",
-                                  "Content-Length is required")
-            return None
-        try:
-            length = int(length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # rfile.read(-1) would block until the client hangs up
-            self.close_connection = True
-            self._send_error_json(
-                400, "bad_request",
-                "Content-Length must be a non-negative integer")
-            return None
-        if length > self.front.config.max_body_bytes:
-            self.close_connection = True
-            self._send_error_json(
-                413, "too_large",
-                f"body exceeds "
-                f"{self.front.config.max_body_bytes} bytes")
-            return None
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body)
-        except ValueError:
-            self._send_error_json(400, "bad_request",
-                                  "request body is not valid JSON")
-            return None
+        return self.app
 
     def _unavailable(self) -> None:
         self._send_error_json(
@@ -521,16 +456,8 @@ class _FrontHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.front.healthz())
             return
         if path == "/metrics":
-            body = self.front.metrics.render().encode()
-            self.front.metrics.requests.inc(
-                endpoint="/metrics", status="200")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type",
-                "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, self.front.metrics.render().encode(),
+                       METRICS_CONTENT_TYPE)
             return
         if path == "/v1/deadletter":
             self._send_json(200, self.front.deadletters())
@@ -545,13 +472,8 @@ class _FrontHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]
         if self.front.draining:
-            doc = self._read_json()
-            if doc is None:
-                return
-            self._send_error_json(
-                503, "draining", "service is shutting down",
-                headers={"Retry-After": str(max(1, int(
-                    self.front.config.drain_timeout)))})
+            if self._read_json() is not None:
+                self._send_draining()
             return
         if path == "/v1/check":
             self._proxy_submission("/v1/check")
@@ -565,21 +487,6 @@ class _FrontHandler(BaseHTTPRequestHandler):
                 self._send_error_json(404, "not_found",
                                       f"no such endpoint: {path}")
 
-    def _request_deadline(self, doc: Any) -> Deadline | None:
-        """The submission's deadline, from the reserved ``deadline_s``
-        field (popped before the routing fingerprint) or the
-        ``X-Ppchecker-Deadline`` header; the field wins.  The front
-        starts the clock here and forwards the *remaining* budget to
-        whichever shard finally takes the work."""
-        value: Any = None
-        if isinstance(doc, dict) and DEADLINE_FIELD in doc:
-            value = doc.pop(DEADLINE_FIELD)
-        elif self.headers.get(DEADLINE_HEADER) is not None:
-            value = self.headers.get(DEADLINE_HEADER)
-        if value is None:
-            return None
-        return Deadline.after(parse_deadline_seconds(value))
-
     def _send_shed(self, deadline: Deadline | None) -> None:
         self.front.metrics.deadline_shed.inc()
         self._send_json(504, versioned({
@@ -592,10 +499,14 @@ class _FrontHandler(BaseHTTPRequestHandler):
         if doc is None:
             return
         try:
-            deadline = self._request_deadline(doc)
+            seconds = self._deadline_seconds(doc)
         except InvalidDeadline as exc:
             self._send_error_json(400, "bad_request", str(exc))
             return
+        # the front starts the clock here and forwards the *remaining*
+        # budget to whichever shard finally takes the work
+        deadline = Deadline.after(seconds) if seconds is not None \
+            else None
         try:
             shard, status, headers, payload = \
                 self.front.submit_to_shard(doc, path,
@@ -636,16 +547,9 @@ class _FrontHandler(BaseHTTPRequestHandler):
         self._send_json(status, _prefixed(payload, index))
 
     def _batch(self) -> None:
-        doc = self._read_json()
-        if doc is None:
-            return
-        bundles = doc.get("bundles") if isinstance(doc, dict) else doc
-        if not isinstance(bundles, list) or not bundles:
-            self._send_error_json(
-                400, "bad_request",
-                'body must be {"bundles": [bundle, ...]}')
-            return
-        self._send_json(*self.front.batch(bundles))
+        bundles = self._read_bundles()
+        if bundles is not None:
+            self._send_json(*self.front.batch(bundles))
 
 
 class ClusterFront:
@@ -750,32 +654,15 @@ class ClusterFront:
                  ) -> tuple[int, dict[str, str], Any]:
         if shard.port is None:
             raise ConnectionError(f"{shard.name} has no port yet")
-        conn = HTTPConnection(self.config.host, shard.port,
-                              timeout=self.config.request_timeout)
-        try:
-            body = None
-            headers = {}
-            if doc is not None:
-                body = json.dumps(doc).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            if deadline is not None:
-                # forward what is *left* of the budget, so time spent
-                # routing at the front is not granted twice
-                headers[DEADLINE_HEADER] = (
-                    f"{max(deadline.remaining(), 0.001):.6f}")
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            response_headers = dict(response.getheaders())
-            content_type = response_headers.get("Content-Type", "")
-            payload: Any
-            if content_type.startswith("application/json"):
-                payload = json.loads(raw) if raw else None
-            else:
-                payload = raw.decode("utf-8", "replace")
-            return response.status, response_headers, payload
-        finally:
-            conn.close()
+        headers = {}
+        if deadline is not None:
+            # forward what is *left* of the budget, so time spent
+            # routing at the front is not granted twice
+            headers[DEADLINE_HEADER] = (
+                f"{max(deadline.remaining(), 0.001):.6f}")
+        return request_json(self.config.host, shard.port, method, path,
+                            doc, headers=headers,
+                            timeout=self.config.request_timeout)
 
     def _pick_shard(self, key: str) -> ShardProcess | None:
         """The first live shard in *key*'s failover order whose
@@ -1011,59 +898,31 @@ class ClusterFront:
                 "kind": "shard_unavailable",
                 "message": "no shard is alive",
             }}
-        results = [slot for slot in slots if slot is not None]
-        counts: dict[str, int] = {}
-        for result in results:
-            status = result.get("status", "rejected")
-            counts[status] = counts.get(status, 0) + 1
-        return 200, versioned({
-            "results": results,
-            "checked": counts.get("ok", 0),
-            "quarantined": counts.get("quarantined", 0),
-            "rejected": (counts.get("rejected", 0)
-                         + counts.get("invalid", 0)),
-            "shed": counts.get("shed", 0),
-        })
+        return 200, batch_summary(
+            [slot for slot in slots if slot is not None])
 
 
-class _FrontHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int],
-                 front: ClusterFront) -> None:
-        super().__init__(address, _FrontHandler)
-        self.front = front
-
-
-class ClusterHandle:
+class ClusterHandle(Listener):
     """A running cluster (tests, benchmarks, serve_cluster)."""
 
     def __init__(self, front: ClusterFront,
-                 supervisor: ShardSupervisor,
-                 httpd: _FrontHTTPServer,
-                 thread: threading.Thread) -> None:
+                 supervisor: ShardSupervisor) -> None:
         self.front = front
         self.supervisor = supervisor
-        self.httpd = httpd
-        self.thread = thread
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
+        config = front.config
+        # the front's accept queue holds what every shard's job queue
+        # together can absorb
+        super().__init__(front, _FrontHandler, config.host, config.port,
+                         backlog=config.shards * config.queue_size,
+                         port_file=config.port_file,
+                         name="ppchecker-front-http")
 
     def close(self) -> None:
         """Graceful: 503 new work, drain + SIGTERM the shards, stop
         the listener."""
         self.front.begin_drain()
         self.supervisor.stop()
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join(5.0)
+        self.stop_listening()
 
 
 def start_cluster(config: ClusterConfig) -> ClusterHandle:
@@ -1081,14 +940,7 @@ def start_cluster(config: ClusterConfig) -> ClusterHandle:
     cell.append(supervisor)
     front = ClusterFront(config, supervisor, metrics)
     supervisor.start()
-    httpd = _FrontHTTPServer((config.host, config.port), front)
-    if config.port_file is not None:
-        _write_port_file(config.port_file, httpd.server_address[1])
-    thread = threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-        daemon=True, name="ppchecker-front-http")
-    thread.start()
-    return ClusterHandle(front, supervisor, httpd, thread)
+    return ClusterHandle(front, supervisor)
 
 
 def serve_cluster(config: ClusterConfig) -> int:
@@ -1099,20 +951,7 @@ def serve_cluster(config: ClusterConfig) -> int:
           f"http://{handle.host}:{handle.port} "
           f"({config.shards} shards x {config.workers} workers)",
           flush=True)
-    stop = threading.Event()
-
-    def _signal(signum: int, frame: Any) -> None:
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _signal)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    wait_for_signal()
     print("draining cluster...", flush=True)
     handle.close()
     print("drained, bye", flush=True)

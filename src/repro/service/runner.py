@@ -77,8 +77,6 @@ class ServiceConfig:
     drain_timeout: float = 10.0
     #: completed jobs kept resolvable by id and content hash
     completed_jobs: int = 256
-    #: cap on request bodies (a serialized bundle), bytes
-    max_body_bytes: int = 32 * 1024 * 1024
     #: directory for the write-ahead job journal (``serve
     #: --state-dir``); None = in-memory only, jobs die with the process
     state_dir: str | None = None

@@ -17,20 +17,14 @@ bounded job queue and a small REST API:
 
 Identical bundles coalesce onto one job by content hash; a full queue
 returns ``429`` with ``Retry-After``; a draining service (SIGTERM)
-returns ``503`` for new work while queued jobs finish.  Everything is
-stdlib (:mod:`http.server`), no new dependencies.
+returns ``503`` for new work while queued jobs finish.  The HTTP
+plumbing is the stdlib core in :mod:`repro.service.httpcore`, shared
+with the cluster front.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import signal
-import tempfile
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro import __version__
@@ -41,6 +35,19 @@ from repro.hashing import fingerprint
 from repro.pipeline.resilience import Deadline
 from repro.service import jobs as jobstates
 from repro.service.coalescing import JobIndex
+from repro.service.httpcore import (
+    _JOB_PATH,
+    DEADLINE_FIELD,
+    DEADLINE_HEADER,
+    METRICS_CONTENT_TYPE,
+    InvalidDeadline,
+    JSONHandler,
+    Listener,
+    batch_summary,
+    parse_deadline_seconds,
+    read_port_file,
+    wait_for_signal,
+)
 from repro.service.jobs import Job, JobQueue, QueueFull, ServiceDraining
 from repro.service.metrics import ServiceMetrics
 from repro.service.runner import (
@@ -50,23 +57,9 @@ from repro.service.runner import (
     shed_error,
 )
 
-_JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
-
-#: request-level deadline intake: relative seconds, as an HTTP header
-#: or a reserved top-level key in the bundle document.  The field is
-#: stripped before parsing/fingerprinting, so the same bundle with
-#: different deadlines still shares one content hash (coalescing and
-#: cluster routing stay deadline-blind).
-DEADLINE_HEADER = "X-Ppchecker-Deadline"
-DEADLINE_FIELD = "deadline_s"
-
 
 class InvalidBundle(ValueError):
     """The request body is JSON but not a valid bundle document."""
-
-
-class InvalidDeadline(ValueError):
-    """The request's deadline header/field is not a positive number."""
 
 
 class DeadlineExpired(RuntimeError):
@@ -76,21 +69,6 @@ class DeadlineExpired(RuntimeError):
     def __init__(self, error: dict) -> None:
         self.error = error
         super().__init__(error.get("message", "deadline expired"))
-
-
-def parse_deadline_seconds(value: Any) -> float:
-    """A deadline is a finite, positive number of seconds."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDeadline(
-            f"deadline must be a number of seconds: {value!r}"
-        ) from exc
-    if not seconds > 0 or seconds != seconds or seconds == float("inf"):
-        raise InvalidDeadline(
-            f"deadline must be a finite positive number of seconds: "
-            f"{value!r}")
-    return seconds
 
 
 class CheckService:
@@ -311,124 +289,17 @@ class CheckService:
         return drained
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int],
-                 service: CheckService) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(JSONHandler):
     server_version = f"ppchecker/{__version__}"
-
-    def version_string(self) -> str:
-        return self.server_version  # no sys_version leak
-
-    # -- plumbing ----------------------------------------------------------
 
     @property
     def service(self) -> CheckService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # /metrics is the observability surface, not stderr
-
-    def _endpoint(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if _JOB_PATH.match(path):
-            return "/v1/jobs/{id}"
-        if path in ("/healthz", "/metrics", "/v1/check", "/v1/jobs",
-                    "/v1/batch", "/v1/deadletter"):
-            return path
-        return "other"
-
-    def _count(self, status: int) -> None:
-        self.service.metrics.requests.inc(
-            endpoint=self._endpoint(), status=str(status))
-
-    def _send(self, status: int, body: bytes, content_type: str,
-              headers: dict[str, str] | None = None) -> None:
-        self._count(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json", headers)
-
-    def _send_error_json(self, status: int, kind: str, message: str,
-                         headers: dict[str, str] | None = None,
-                         **extra: Any) -> None:
-        self._send_json(status, versioned(
-            {"error": {"kind": kind, "message": message, **extra}}
-        ), headers)
-
-    def _read_json(self) -> Any:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send_error_json(411, "length_required",
-                                  "Content-Length is required")
-            return None
-        try:
-            length = int(length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # rfile.read(-1) would block until the client hangs up
-            self.close_connection = True
-            self._send_error_json(
-                400, "bad_request",
-                "Content-Length must be a non-negative integer")
-            return None
-        if length > self.service.config.max_body_bytes:
-            self.close_connection = True
-            self._send_error_json(
-                413, "too_large",
-                f"body exceeds "
-                f"{self.service.config.max_body_bytes} bytes")
-            return None
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body)
-        except ValueError:
-            self._send_error_json(400, "bad_request",
-                                  "request body is not valid JSON")
-            return None
+        return self.app
 
     # -- submission helpers ------------------------------------------------
 
-    def _drain_retry_after(self) -> str:
-        """Seconds a client should back off during a drain: the
-        remaining work can take up to the configured drain budget."""
-        return str(max(1, int(self.service.config.drain_timeout)))
-
     def _load_retry_after(self) -> str:
         return str(self.service.retry_after_seconds())
-
-    def _request_deadline(self, doc: Any) -> float | None:
-        """The request's relative deadline in seconds, from the
-        reserved ``deadline_s`` document field (popped -- it must
-        never reach the fingerprint) or the ``X-Ppchecker-Deadline``
-        header; the field wins when both are present.  Raises
-        :class:`InvalidDeadline` on garbage."""
-        value: Any = None
-        if isinstance(doc, dict) and DEADLINE_FIELD in doc:
-            value = doc.pop(DEADLINE_FIELD)
-        elif self.headers.get(DEADLINE_HEADER) is not None:
-            value = self.headers.get(DEADLINE_HEADER)
-        if value is None:
-            return None
-        return parse_deadline_seconds(value)
 
     def _send_shed(self, error: dict, job_id: str | None = None,
                    ) -> None:
@@ -445,21 +316,17 @@ class _Handler(BaseHTTPRequestHandler):
         """Submit, translating intake failures to responses."""
         try:
             deadline = self.service.deadline_for(
-                self._request_deadline(doc))
+                self._deadline_seconds(doc))
             return self.service.submit(doc, deadline=deadline)
         except ServiceDraining:
-            self._send_error_json(
-                503, "draining", "service is shutting down",
-                headers={"Retry-After": self._drain_retry_after()})
+            self._send_draining()
         except QueueFull:
             self._send_error_json(
                 429, "queue_full", "job queue is at capacity",
                 headers={"Retry-After": self._load_retry_after()})
         except DeadlineExpired as exc:
             self._send_shed(exc.error)
-        except InvalidDeadline as exc:
-            self._send_error_json(400, "bad_request", str(exc))
-        except InvalidBundle as exc:
+        except (InvalidBundle, InvalidDeadline) as exc:
             self._send_error_json(400, "bad_request", str(exc))
         return None
 
@@ -472,7 +339,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path == "/metrics":
             self._send(200, self.service.metrics.render().encode(),
-                       "text/plain; version=0.0.4; charset=utf-8")
+                       METRICS_CONTENT_TYPE)
             return
         if path == "/v1/deadletter":
             docs = self.service.deadletters()
@@ -570,28 +437,19 @@ class _Handler(BaseHTTPRequestHandler):
         }), headers={"Location": f"/v1/jobs/{job.id}"})
 
     def _batch(self) -> None:
-        doc = self._read_json()
-        if doc is None:
-            return
-        bundles = doc.get("bundles") if isinstance(doc, dict) else doc
-        if not isinstance(bundles, list) or not bundles:
-            self._send_error_json(
-                400, "bad_request",
-                'body must be {"bundles": [bundle, ...]}')
+        bundles = self._read_bundles()
+        if bundles is None:
             return
         slots: list[dict | Job] = []
         for bundle_doc in bundles:
             try:
                 deadline = self.service.deadline_for(
-                    self._request_deadline(bundle_doc))
+                    self._deadline_seconds(bundle_doc))
                 job, _ = self.service.submit(bundle_doc,
                                              deadline=deadline)
                 slots.append(job)
             except ServiceDraining:
-                self._send_error_json(
-                    503, "draining", "service is shutting down",
-                    headers={"Retry-After":
-                             self._drain_retry_after()})
+                self._send_draining()
                 return
             except QueueFull:
                 slots.append({"status": "rejected", "error": {
@@ -624,100 +482,37 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 results.append({"status": "pending",
                                 "job_id": slot.id})
-        counts = {"ok": 0, "quarantined": 0, "rejected": 0,
-                  "invalid": 0, "pending": 0, "shed": 0}
-        for result in results:
-            counts[result["status"]] += 1
-        self._send_json(200, versioned({
-            "results": results,
-            "checked": counts["ok"],
-            "quarantined": counts["quarantined"],
-            "rejected": counts["rejected"] + counts["invalid"],
-            "shed": counts["shed"],
-        }))
+        self._send_json(200, batch_summary(results))
 
 
 # -- embedding & the blocking entry point --------------------------------
 
 
-class ServiceHandle:
+class ServiceHandle(Listener):
     """A running service + HTTP listener (tests, benchmarks, serve)."""
 
-    def __init__(self, service: CheckService,
-                 httpd: _ServiceHTTPServer,
-                 thread: threading.Thread) -> None:
+    def __init__(self, service: CheckService) -> None:
         self.service = service
-        self.httpd = httpd
-        self.thread = thread
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
+        config = service.config
+        super().__init__(service, _Handler, config.host, config.port,
+                         backlog=config.queue_size,
+                         port_file=config.port_file,
+                         name="ppchecker-http")
 
     def close(self, drain: bool = True,
               deadline: float | None = None) -> bool:
         """Graceful stop: reject new work, drain, join workers, stop
         the listener.  Returns True when the drain completed."""
         drained = self.service.shutdown(drain=drain, deadline=deadline)
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join(5.0)
+        self.stop_listening()
         return drained
-
-
-def _write_port_file(path: str, port: int) -> None:
-    """Publish the bound port atomically: readers polling the path
-    see nothing or the complete number, never a partial write."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"{port}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def read_port_file(path: str, timeout: float = 30.0) -> int:
-    """Poll *path* until a serving process publishes its bound port
-    (the reader half of ``--port-file``; supervisors and tests use
-    this instead of the racy probe-a-port-then-release dance)."""
-    end = time.monotonic() + timeout
-    while True:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read().strip()
-            if text:
-                return int(text)
-        except (OSError, ValueError):
-            pass
-        if time.monotonic() > end:
-            raise TimeoutError(f"no port published at {path}")
-        time.sleep(0.05)
 
 
 def start_service(config: ServiceConfig) -> ServiceHandle:
     """Start the service and its HTTP listener on a daemon thread.
     ``config.port=0`` binds an ephemeral port (see ``handle.port``,
     or set ``config.port_file`` to have it published to disk)."""
-    service = CheckService(config)
-    httpd = _ServiceHTTPServer((config.host, config.port), service)
-    if config.port_file is not None:
-        _write_port_file(config.port_file,
-                         httpd.server_address[1])
-    thread = threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-        daemon=True, name="ppchecker-http",
-    )
-    thread.start()
-    return ServiceHandle(service, httpd, thread)
+    return ServiceHandle(CheckService(config))
 
 
 def serve(config: ServiceConfig) -> int:
@@ -729,20 +524,7 @@ def serve(config: ServiceConfig) -> int:
           f"http://{handle.host}:{handle.port} "
           f"({config.workers} workers, queue {config.queue_size})",
           flush=True)
-    stop = threading.Event()
-
-    def _signal(signum: int, frame: Any) -> None:
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _signal)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        stop.wait()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    wait_for_signal()
     print("draining...", flush=True)
     drained = handle.close(drain=True)
     print("drained, bye" if drained

@@ -9,6 +9,15 @@ server exactly as written.
   give before any work is routed: status, ``{"error": {"kind"}}``
   document, ``Server`` header and the ``requests_total`` sample each
   answer is counted under.
+- :class:`TestAcceptBacklog` storms each listener with 64 concurrent
+  fresh connections; the accept queue must hold them all, so no
+  client waits out a dropped SYN's 1 s retransmit.  A two-shard
+  front with half that job queue per shard is stormed too: its
+  accept queue holds what all its shards can absorb.
+- :class:`TestProtocolErrors` covers the errors ``http.server``
+  raises itself (unsupported method, header flood): they must answer
+  the same JSON error document as the routes and be counted.  A JSON
+  ``null`` body is answered with a 400 too.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import json
 import re
 import socket
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -37,7 +47,6 @@ TOO_LARGE = 32 * 1024 * 1024 + 1
 
 @dataclass
 class Surface:
-    name: str
     port: int
     server: str
     requests_metric: str
@@ -62,7 +71,7 @@ def service_surface():
                                          drain_timeout=5.0))
     try:
         yield Surface(
-            name="service", port=handle.port,
+            port=handle.port,
             server=f"ppchecker/{__version__}",
             requests_metric="ppchecker_requests_total",
             drain_timeout=5.0,
@@ -84,7 +93,7 @@ def front_surface(tmp_path_factory):
     try:
         wait_cluster_up(ServiceClient(port=handle.port), shards=1)
         yield Surface(
-            name="front", port=handle.port,
+            port=handle.port,
             server=f"ppchecker-front/{__version__}",
             requests_metric="ppchecker_front_requests_total",
             drain_timeout=5.0,
@@ -98,6 +107,34 @@ def front_surface(tmp_path_factory):
 @pytest.fixture(params=["service", "front"])
 def surface(request) -> Surface:
     return request.getfixturevalue(f"{request.param}_surface")
+
+
+#: concurrent fresh connections in the accept-queue storm
+STORM = 64
+
+
+@pytest.fixture(scope="module")
+def sharded_front_port(tmp_path_factory):
+    """A two-shard front whose shards each queue half the storm: only
+    the shards' queues together cover it."""
+    base = tmp_path_factory.mktemp("sharded")
+    handle = start_cluster(ClusterConfig(
+        port=0, shards=2, workers=1, queue_size=STORM // 2,
+        state_dir=str(base / "state"),
+        drain_timeout=5.0,
+    ))
+    try:
+        wait_cluster_up(ServiceClient(port=handle.port), shards=2)
+        yield handle.port
+    finally:
+        handle.close()
+
+
+@pytest.fixture(params=["service", "front", "sharded_front"])
+def storm_port(request) -> int:
+    if request.param == "sharded_front":
+        return request.getfixturevalue("sharded_front_port")
+    return request.getfixturevalue(f"{request.param}_surface").port
 
 
 def raw_request(port: int, head: str, body: bytes = b"",
@@ -227,3 +264,106 @@ class TestWireSurface:
         headers = assert_error(surface, answer, 503, "draining",
                                "/v1/check", before)
         assert headers["Retry-After"] == str(int(surface.drain_timeout))
+
+
+class TestAcceptBacklog:
+    CONNECTIONS = STORM
+    #: below Linux's 1 s initial SYN retransmit: a connection whose
+    #: SYN the full accept queue dropped cannot make it
+    LIMIT_S = 0.9
+
+    def test_connect_storm_is_accepted(self, storm_port):
+        barrier = threading.Barrier(self.CONNECTIONS)
+        outcomes: list = [None] * self.CONNECTIONS
+
+        def one(slot: int) -> None:
+            barrier.wait()
+            started = time.monotonic()
+            try:
+                status, _, _ = raw_request(
+                    storm_port, request_head("GET", "/healthz"),
+                    timeout=5.0)
+            except OSError as exc:
+                outcomes[slot] = (repr(exc), time.monotonic() - started)
+                return
+            outcomes[slot] = (status, time.monotonic() - started)
+
+        threads = [threading.Thread(target=one, args=(slot,))
+                   for slot in range(self.CONNECTIONS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        failed = [o for o in outcomes if o is None or o[0] != 200]
+        slow = [o for o in outcomes
+                if o is not None and o[1] >= self.LIMIT_S]
+        assert not failed, failed
+        assert not slow, sorted(o[1] for o in slow)
+
+
+class TestProtocolErrors:
+    """Errors ``http.server`` answers before any route runs, and a
+    JSON ``null`` body, which must get an answer of its own."""
+
+    def test_unsupported_method_501_is_json(self, surface):
+        before = requests_count(surface, "/v1/check", 501)
+        answer = raw_request(surface.port, request_head(
+            "PUT", "/v1/check", "Content-Length: 0"))
+        assert_error(surface, answer, 501, "not_implemented",
+                     "/v1/check", before)
+
+    def test_head_501_has_headers_only(self, surface):
+        before = requests_count(surface, "/healthz", 501)
+        status, headers, body = raw_request(
+            surface.port, request_head("HEAD", "/healthz"))
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert body == b""
+        assert requests_count(surface, "/healthz", 501) == before + 1
+
+    def test_malformed_request_line_400_is_json(self, surface):
+        # four words: rejected before http.server records a path
+        before = requests_count(surface, "other", 400)
+        answer = raw_request(surface.port,
+                             "GET /healthz extra HTTP/1.1\r\n"
+                             "Host: 127.0.0.1\r\n")
+        assert_error(surface, answer, 400, "bad_request", "other",
+                     before)
+
+    def test_malformed_request_line_after_keep_alive(self, surface):
+        # the handler still holds the first request's path when the
+        # second request line fails
+        before = requests_count(surface, "other", 400)
+        before_healthz = requests_count(surface, "/healthz", 400)
+        good = ("GET /healthz HTTP/1.1\r\n"
+                "Host: 127.0.0.1\r\n\r\n")
+        bad = ("GET /healthz extra HTTP/1.1\r\n"
+               "Host: 127.0.0.1\r\n\r\n")
+        data = b""
+        with socket.create_connection(("127.0.0.1", surface.port),
+                                      timeout=10.0) as sock:
+            sock.sendall((good + bad).encode("latin-1"))
+            while chunk := sock.recv(65536):
+                data += chunk
+        # the second status line follows the first body directly
+        statuses = re.findall(rb"HTTP/1\.[01] (\d{3}) ", data)
+        assert statuses == [b"200", b"400"]
+        assert requests_count(surface, "other", 400) == before + 1
+        assert requests_count(surface, "/healthz", 400) == before_healthz
+
+    def test_header_flood_431_is_json(self, surface):
+        before = requests_count(surface, "/healthz", 431)
+        flood = [f"X-Flood-{i}: {i}" for i in range(120)]
+        answer = raw_request(surface.port,
+                             request_head("GET", "/healthz", *flood))
+        assert_error(surface, answer, 431,
+                     "request_header_fields_too_large", "/healthz",
+                     before)
+
+    def test_null_body_400(self, surface):
+        before = requests_count(surface, "/v1/check", 400)
+        body = b"null"
+        answer = raw_request(surface.port,
+                             post_head("/v1/check", body), body)
+        assert_error(surface, answer, 400, "bad_request", "/v1/check",
+                     before)
